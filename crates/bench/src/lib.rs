@@ -902,7 +902,7 @@ pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
 /// timed end to end, with its counter partition and winner identity.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SweepSide {
-    /// Which engine ran: `baseline` or `projected+batched`.
+    /// Which engine ran: `baseline` or `projected`.
     pub label: String,
     /// End-to-end wall-clock of the sweep, seconds.
     pub wallclock_secs: f64,
@@ -925,19 +925,18 @@ pub struct SweepSide {
 }
 
 /// The `sweep` block of `BENCH_replay.json`: the same full
-/// branch-and-bound sweep run twice — once on a plain serial engine, once
-/// with trace-conditioned projection and the fused multi-candidate kernel
-/// — with the winner asserted bit-identical and the wall-clock/replay
-/// savings recorded (and gated by `replay_hot --check` in release).
+/// branch-and-bound sweep run twice on a serial engine — once plain, once
+/// with trace-conditioned projection — with the winner asserted
+/// bit-identical and the wall-clock/replay savings recorded (and gated by
+/// `replay_hot --check` in release). Both sides run at one job, so the
+/// gate measures the projection layer alone.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SweepReport {
     /// Workload swept.
     pub workload: String,
-    /// Fused batch width of the projected side.
-    pub batch: usize,
     /// The plain serial sweep.
     pub baseline: SweepSide,
-    /// The projected + batched sweep.
+    /// The projected serial sweep.
     pub projected: SweepSide,
     /// `baseline.wallclock_secs / projected.wallclock_secs`.
     pub sweep_wallclock_speedup: f64,
@@ -946,13 +945,11 @@ pub struct SweepReport {
     pub projected_replay_ratio: f64,
 }
 
-/// Width of the fused batches [`sweep_comparison`] runs with.
-pub const SWEEP_BATCH: usize = 16;
-
-/// Run the DRR branch-and-bound sweep twice — plain serial baseline vs
-/// projection + fused batching — and report the comparison. Panics if the
-/// two winners (fingerprint or peak) disagree: the optimisation's
-/// bit-identity contract is checked on every run, not just in CI.
+/// Run the DRR branch-and-bound sweep twice on a serial engine — plain
+/// baseline vs trace-conditioned projection — and report the comparison.
+/// Panics if the two winners (fingerprint or peak) disagree: the
+/// optimisation's bit-identity contract is checked on every run, not just
+/// in CI.
 ///
 /// # Errors
 ///
@@ -1002,23 +999,19 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
 
     let baseline = run("baseline", &ExplorationEngine::serial())?;
     let projected = run(
-        "projected+batched",
-        &ExplorationEngine::serial()
-            .with_projection(true)
-            .with_batch(SWEEP_BATCH),
+        "projected",
+        &ExplorationEngine::serial().with_projection(true),
     )?;
     assert_eq!(
         (&baseline.winner_fingerprint, baseline.winner_peak),
         (&projected.winner_fingerprint, projected.winner_peak),
-        "projection/batching broke the bit-identical-winner contract"
+        "projection broke the bit-identical-winner contract"
     );
-    let sweep_wallclock_speedup = baseline.wallclock_secs
-        / projected.wallclock_secs.max(f64::MIN_POSITIVE);
-    let projected_replay_ratio =
-        projected.replays as f64 / projected.enumerated.max(1) as f64;
+    let sweep_wallclock_speedup =
+        baseline.wallclock_secs / projected.wallclock_secs.max(f64::MIN_POSITIVE);
+    let projected_replay_ratio = projected.replays as f64 / projected.enumerated.max(1) as f64;
     Ok(SweepReport {
         workload: w.name().to_string(),
-        batch: SWEEP_BATCH,
         baseline,
         projected,
         sweep_wallclock_speedup,
@@ -1040,7 +1033,7 @@ pub struct ReplayHotReport {
     /// Branch-and-bound pruning telemetry of the exhaustive sweep on the
     /// DRR trace (see [`exploration_pruning`]).
     pub exploration: ExplorationPruningReport,
-    /// Baseline vs projected+batched sweep comparison on the same space
+    /// Baseline vs projected sweep comparison on the same space
     /// (see [`sweep_comparison`]): wall-clock speedup, replay reduction,
     /// winner bit-identity.
     pub sweep: SweepReport,
@@ -1489,7 +1482,7 @@ mod tests {
         }
         assert!(
             s.projected.replays <= s.baseline.replays,
-            "projection/batching must never add replays"
+            "projection must never add replays"
         );
         assert!(s.sweep_wallclock_speedup > 0.0);
         // The debug prefix is too uniform to collapse (and its shadow

@@ -29,6 +29,10 @@
 //! Robustness flags: `--checkpoint=FILE` journals every completed replay
 //! so a killed sweep resumes with `--resume` (bit-identical winner);
 //! `--budget-steps=N`/`--budget-ms=N` bound each candidate replay.
+//!
+//! [`Invocation::parse`] rejects a malformed `--jobs` value and the
+//! removed `--batch` option with a [`UsageError`]; the `dmm` binary exits
+//! with status 2 on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,7 +66,8 @@ pub struct Invocation {
     pub full: bool,
     /// `--seed=N` option.
     pub seed: u64,
-    /// `--jobs=N` option: exploration worker threads (0 = all cores).
+    /// `--jobs=N` option: exploration worker threads (0 = all cores). A
+    /// value that is not a non-negative integer is a [`UsageError`].
     pub jobs: usize,
     /// `--shards=N` option: split the trace into N shards and explore
     /// per shard, merging the designs (1 = whole-trace exploration).
@@ -96,17 +101,53 @@ pub struct Invocation {
     /// `--budget-ms=N`: per-candidate replay budget in wall-clock
     /// milliseconds (malformed values read as 0).
     pub budget_ms: Option<u64>,
-    /// `--batch=N`: fused multi-candidate replay width for exhaustive
-    /// sweeps — N candidates share one pass over the compiled event
-    /// stream, and trace-conditioned projection collapses
-    /// behaviorally-identical candidates onto one replay (1 = the serial
-    /// kernel, no projection).
-    pub batch: usize,
 }
+
+/// A command line [`Invocation::parse`] rejects. The `dmm` binary prints
+/// it and exits with status 2.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UsageError {
+    /// An option whose value does not parse.
+    Malformed {
+        /// The option, e.g. `--jobs`.
+        flag: &'static str,
+        /// The rejected value.
+        value: String,
+        /// What a valid value looks like.
+        expected: &'static str,
+    },
+    /// An option that no longer exists.
+    Removed {
+        /// The option, e.g. `--batch`.
+        flag: &'static str,
+        /// Why it went and what replaces it.
+        reason: &'static str,
+    },
+}
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UsageError::Malformed {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag}={value}: expected {expected}"),
+            UsageError::Removed { flag, reason } => write!(f, "{flag} was removed: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for UsageError {}
 
 impl Invocation {
     /// Parse raw arguments (without the program name).
-    pub fn parse(args: &[String]) -> Invocation {
+    ///
+    /// # Errors
+    ///
+    /// [`UsageError::Malformed`] for a `--jobs` value that is not a
+    /// non-negative integer, [`UsageError::Removed`] for `--batch`.
+    pub fn parse(args: &[String]) -> std::result::Result<Invocation, UsageError> {
         let mut command = String::from("help");
         let mut positional = Vec::new();
         let mut full = false;
@@ -124,7 +165,6 @@ impl Invocation {
         let mut recover = false;
         let mut budget_steps = None;
         let mut budget_ms = None;
-        let mut batch = 1usize;
         let mut expect_explain = false;
         let mut expect_deny = false;
         let mut seen_command = false;
@@ -170,15 +210,20 @@ impl Invocation {
             } else if let Some(s) = a.strip_prefix("--seed=") {
                 seed = s.parse().unwrap_or(0);
             } else if let Some(s) = a.strip_prefix("--jobs=") {
-                // A malformed value falls back to serial (1), not to all
-                // cores (0) — the opposite extreme of a likely typo.
-                jobs = s.parse().unwrap_or(1);
+                jobs = s.parse().map_err(|_| UsageError::Malformed {
+                    flag: "--jobs",
+                    value: s.to_string(),
+                    expected: "a worker-thread count (0 = all cores)",
+                })?;
             } else if let Some(s) = a.strip_prefix("--shards=") {
                 // Malformed or zero means unsharded.
                 shards = s.parse().unwrap_or(1).max(1);
-            } else if let Some(s) = a.strip_prefix("--batch=") {
-                // Malformed or zero means the serial kernel.
-                batch = s.parse().unwrap_or(1).max(1);
+            } else if a == "--batch" || a.starts_with("--batch=") {
+                return Err(UsageError::Removed {
+                    flag: "--batch",
+                    reason: "the fused batch kernel is gone; exhaustive sweeps speculate \
+                             replays on --jobs workers instead",
+                });
             } else if !seen_command {
                 command = a.clone();
                 seen_command = true;
@@ -194,7 +239,7 @@ impl Invocation {
         if expect_deny {
             deny = Some(String::new());
         }
-        Invocation {
+        Ok(Invocation {
             command,
             positional,
             full,
@@ -212,8 +257,7 @@ impl Invocation {
             recover,
             budget_steps,
             budget_ms,
-            batch,
-        }
+        })
     }
 }
 
@@ -272,10 +316,6 @@ fn engine_for(inv: &Invocation) -> Result<ExplorationEngine> {
         ));
     }
     let mut engine = ExplorationEngine::new(inv.jobs);
-    if inv.batch > 1 {
-        engine.set_batch(inv.batch);
-        engine.set_projection(true);
-    }
     if inv.budget_steps.is_some() || inv.budget_ms.is_some() {
         engine.set_budget(BudgetSpec {
             max_steps: inv.budget_steps,
@@ -406,9 +446,9 @@ pub fn help_text() -> String {
      --resume skips the journalled candidates (bit-identical winner)\n\
      --budget-steps=N / --budget-ms=N bound each candidate replay; a\n\
      tripped budget aborts that candidate, not the sweep\n\
-     --batch=N fuses N candidates into one pass over the compiled event\n\
-     stream and projects behaviourally-identical candidates onto one\n\
-     replay (bit-identical winner; 1 = the serial kernel)\n"
+     \n\
+     A malformed --jobs value exits with status 2, as does the removed\n\
+     --batch option.\n"
         .to_string()
 }
 
@@ -1006,8 +1046,12 @@ pub fn run(inv: &Invocation) -> Result<String> {
 mod tests {
     use super::*;
 
-    fn inv(parts: &[&str]) -> Invocation {
+    fn parse(parts: &[&str]) -> std::result::Result<Invocation, UsageError> {
         Invocation::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn inv(parts: &[&str]) -> Invocation {
+        parse(parts).expect("a valid command line")
     }
 
     #[test]
@@ -1030,24 +1074,42 @@ mod tests {
         assert_eq!(inv(&["explore"]).jobs, 0, "jobs defaults to all cores");
         assert_eq!(inv(&["explore"]).shards, 1, "shards defaults to unsharded");
         assert_eq!(
-            inv(&["explore", "--jobs=oops"]).jobs,
-            1,
-            "malformed jobs falls back to serial, not all cores"
-        );
-        assert_eq!(
             inv(&["explore", "--shards=oops"]).shards,
             1,
             "malformed shard count falls back to unsharded"
         );
         assert_eq!(inv(&["explore", "--shards=0"]).shards, 1);
-        assert_eq!(inv(&["explore"]).batch, 1, "batch defaults to serial");
-        assert_eq!(inv(&["explore", "--batch=16"]).batch, 16);
-        assert_eq!(
-            inv(&["explore", "--batch=oops"]).batch,
-            1,
-            "malformed batch width falls back to the serial kernel"
-        );
-        assert_eq!(inv(&["explore", "--batch=0"]).batch, 1);
+    }
+
+    #[test]
+    fn malformed_jobs_and_removed_batch_are_usage_errors() {
+        for bad in ["oops", "-1", "", "2.5"] {
+            let arg = format!("--jobs={bad}");
+            assert_eq!(
+                parse(&["explore", &arg]).unwrap_err(),
+                UsageError::Malformed {
+                    flag: "--jobs",
+                    value: bad.to_string(),
+                    expected: "a worker-thread count (0 = all cores)",
+                },
+                "{arg} must not fall back to a default worker count"
+            );
+        }
+        assert_eq!(inv(&["explore", "--jobs=0"]).jobs, 0);
+        for batch in ["--batch=16", "--batch=1", "--batch=oops", "--batch"] {
+            let err = parse(&["explore", "drr", batch]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    UsageError::Removed {
+                        flag: "--batch",
+                        ..
+                    }
+                ),
+                "{batch}: {err:?}"
+            );
+            assert!(err.to_string().contains("--batch was removed"), "{err}");
+        }
     }
 
     #[test]
@@ -1065,21 +1127,6 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(tail(&serial), tail(&parallel));
-    }
-
-    #[test]
-    fn explore_batched_projection_agrees_with_serial() {
-        // --batch=N turns on the fused kernel and the projection tier;
-        // the designed manager must not change.
-        let serial = explore_text(&inv(&["explore", "drr", "--jobs=1"])).unwrap();
-        let batched = explore_text(&inv(&["explore", "drr", "--jobs=1", "--batch=8"])).unwrap();
-        let tail = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.starts_with("decision log"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(tail(&serial), tail(&batched));
     }
 
     #[test]

@@ -4,7 +4,13 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let inv = dmm_cli::Invocation::parse(&args);
+    let inv = match dmm_cli::Invocation::parse(&args) {
+        Ok(inv) => inv,
+        Err(e) => {
+            eprintln!("dmm: {e}");
+            std::process::exit(2);
+        }
+    };
     match dmm_cli::run(&inv) {
         Ok(text) => print!("{text}"),
         Err(e) => {

@@ -343,8 +343,10 @@ pub struct ReplayCache {
     /// The projected tier: one entry per behavioural equivalence class
     /// (trace-conditioned), shared by every structural member of the
     /// class. Kept separate from the structural map so the exact-identity
-    /// contract of [`ReplayCache::get`] is untouched.
-    projected: Mutex<HashMap<(TraceKey, ProjectedKey), FootprintStats>>,
+    /// contract of [`ReplayCache::get`] is untouched. Partitioned by trace
+    /// first, so a lookup borrows its [`ProjectedKey`] instead of cloning
+    /// it into a tuple key.
+    projected: Mutex<HashMap<TraceKey, HashMap<ProjectedKey, FootprintStats>>>,
 }
 
 impl ReplayCache {
@@ -393,7 +395,8 @@ impl ReplayCache {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .get(&(trace, key.clone()))
+            .get(&trace)?
+            .get(key)
             .cloned()
     }
 
@@ -402,12 +405,19 @@ impl ReplayCache {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .insert((trace, key), stats);
+            .entry(trace)
+            .or_default()
+            .insert(key, stats);
     }
 
     /// Number of memoised projected equivalence classes.
     pub fn projected_len(&self) -> usize {
-        self.projected.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.projected
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .values()
+            .map(HashMap::len)
+            .sum()
     }
 
     /// Number of memoised replays.

@@ -7,7 +7,9 @@
 //! that runs distinct ones concurrently ([`std::thread::scope`]; no
 //! external dependencies). Results are returned **in input order**, so a
 //! caller that folds them sequentially gets bit-identical argmins and
-//! tie-breaks whether the engine ran with one job or many.
+//! tie-breaks whether the engine ran with one job or many. Exhaustive
+//! sweeps speculate replays on the same workers and commit them in rank
+//! order (`methodology/window.rs`).
 //!
 //! One engine may serve many explorations — the cache key includes a trace
 //! fingerprint, so sharing an engine across portfolio probes, phases,
@@ -27,8 +29,8 @@ use crate::methodology::checkpoint::CheckpointJournal;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
 use crate::trace::{
-    replay_compiled_batch, replay_compiled_budgeted, replay_compiled_with, BatchScratch,
-    CompiledTrace, ReplayBudget, ReplayScratch, Trace,
+    replay_compiled_budgeted, replay_compiled_with, CompiledTrace, ReplayBudget, ReplayScratch,
+    Trace,
 };
 
 thread_local! {
@@ -39,10 +41,6 @@ thread_local! {
     /// safe — and allocation-free once the table has grown to the largest
     /// slot count seen.
     static REPLAY_SCRATCH: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::new());
-    /// Per-worker slot matrix for the fused multi-candidate kernel
-    /// ([`replay_compiled_batch`]); same reuse contract as
-    /// [`REPLAY_SCRATCH`].
-    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::new());
 }
 
 /// Monotonic counters of one engine's work.
@@ -106,6 +104,22 @@ pub struct Incumbent {
     pub peak: usize,
     /// The incumbent's enumeration index in the original space order.
     pub order: usize,
+}
+
+impl Incumbent {
+    /// Whether a candidate with admissible floor `bound` at enumeration
+    /// index `order` provably cannot displace this incumbent: its peak can
+    /// only be worse (`bound > peak`), or at best tie while enumerating
+    /// later (the first-seen-minimum fold keeps the earlier one).
+    ///
+    /// This is the lexicographic test `(bound, order) > (self.peak,
+    /// self.order)`.
+    /// Bound-ranked lists ascend in `(bound, order)` and incumbents only
+    /// descend in `(peak, order)`, so once a ranked candidate is pruned,
+    /// every later one is too.
+    pub fn prunes(&self, bound: usize, order: usize) -> bool {
+        (bound, order) > (self.peak, self.order)
+    }
 }
 
 /// One evaluated configuration.
@@ -184,8 +198,6 @@ pub struct ExplorationEngine {
     /// candidates whose [`ProjectedKey`] matches an already-replayed
     /// sibling into a copied result ([`EngineCounters::projection_hits`]).
     projection: bool,
-    /// Candidates per fused-replay batch (1 = the serial kernel).
-    batch: usize,
     /// Per-candidate replay budget, enforced inside the compiled kernel.
     budget: BudgetSpec,
     /// Injected faults (tests only; `None` in production).
@@ -229,7 +241,6 @@ impl ExplorationEngine {
             spawned: AtomicUsize::new(0),
             quarantine: false,
             projection: false,
-            batch: 1,
             budget: BudgetSpec::default(),
             fault_plan: None,
             journal: None,
@@ -262,15 +273,17 @@ impl ExplorationEngine {
     }
 
     /// Enable/disable trace-conditioned config projection on the sweep
-    /// entry points ([`ExplorationEngine::evaluate_bounded`],
-    /// [`ExplorationEngine::evaluate_bounded_batch`]): candidates whose
-    /// [`ProjectedKey`] matches an already-replayed sibling are served a
-    /// copy of that sibling's stats — counted in
+    /// path ([`ExplorationEngine::evaluate_bounded`] and the windowed
+    /// sweep of [`exhaustive_best_with_engine`](crate::methodology::exhaustive_best_with_engine)):
+    /// candidates whose [`ProjectedKey`] matches an already-replayed
+    /// sibling are served a copy of that sibling's stats — counted in
     /// [`EngineCounters::projection_hits`], never in `evaluations` — and
     /// in debug builds every served copy is checked against a fresh
-    /// shadow replay (the soundness oracle). The greedy/strict entry
-    /// points never project: their callers compare candidates by name,
-    /// not by enumeration order, and the replays are few.
+    /// shadow replay (the soundness oracle). With projection on, the
+    /// sweep path memoises in the projected tier only. The greedy/strict
+    /// entry points never project: their callers compare candidates by
+    /// name, not by enumeration order, and the replays are few; they keep
+    /// the structural tier.
     pub fn set_projection(&mut self, on: bool) {
         self.projection = on;
     }
@@ -285,28 +298,6 @@ impl ExplorationEngine {
     /// Whether trace-conditioned projection is on.
     pub fn projection(&self) -> bool {
         self.projection
-    }
-
-    /// Set the fused-replay batch width: sweeps evaluate up to `batch`
-    /// candidates per worker down **one pass** of the compiled event
-    /// stream ([`replay_compiled_batch`]). `0` and `1` both mean the
-    /// serial kernel. Budgeted, fault-injected, journalled or quarantined
-    /// engines fall back to the serial kernel per candidate — those paths
-    /// need per-candidate control the fused loop does not have.
-    pub fn set_batch(&mut self, batch: usize) {
-        self.batch = batch.max(1);
-    }
-
-    /// Builder form of [`ExplorationEngine::set_batch`].
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.set_batch(batch);
-        self
-    }
-
-    /// The fused-replay batch width (1 = serial kernel).
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// Set the per-candidate replay budget (applies to every subsequent
@@ -494,7 +485,7 @@ impl ExplorationEngine {
         cfg: &DmConfig,
     ) -> Result<Option<Evaluation>> {
         if crate::analyze::prune_reason(cfg).is_some() {
-            self.statically_pruned.fetch_add(1, Ordering::Relaxed);
+            self.count_static();
             return Ok(None);
         }
         self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))
@@ -503,9 +494,10 @@ impl ExplorationEngine {
     /// Branch-and-bound evaluation: [`ExplorationEngine::evaluate_pruned`]
     /// plus an admission test against the incumbent's **actual** replayed
     /// peak. A candidate whose admissible footprint floor (`bound`, from
-    /// [`crate::analyze::lower_bound_peak`]) already loses is skipped —
-    /// `Ok(None)` — and counted in [`ExplorationEngine::bound_pruned`],
-    /// with no replay *or cache lookup* scheduled.
+    /// [`crate::analyze::lower_bound_peak`]) already loses
+    /// ([`Incumbent::prunes`]) is skipped — `Ok(None)` — and counted in
+    /// [`ExplorationEngine::bound_pruned`], with no replay *or cache
+    /// lookup* scheduled.
     ///
     /// "Loses" is exact, not merely strict: with `bound > incumbent.peak`
     /// the candidate's peak can only be worse; with `bound ==
@@ -515,6 +507,11 @@ impl ExplorationEngine {
     /// minimum. Both skip cases therefore leave the winner of
     /// [`exhaustive_best`](crate::methodology::exhaustive_best)
     /// bit-identical, whatever order candidates are presented in.
+    ///
+    /// Composed over a bound-ranked list with the incumbent folded after
+    /// every call, this is exactly what the windowed sweep of
+    /// [`exhaustive_best_with_engine`](crate::methodology::exhaustive_best_with_engine)
+    /// computes: same winner, same [`EngineCounters`], same journal bytes.
     ///
     /// # Errors
     ///
@@ -530,14 +527,12 @@ impl ExplorationEngine {
         incumbent: Option<Incumbent>,
     ) -> Result<Option<Evaluation>> {
         if crate::analyze::prune_reason(cfg).is_some() {
-            self.statically_pruned.fetch_add(1, Ordering::Relaxed);
+            self.count_static();
             return Ok(None);
         }
-        if let Some(inc) = incumbent {
-            if bound > inc.peak || (bound == inc.peak && order > inc.order) {
-                self.bound_pruned.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
+        if incumbent.is_some_and(|inc| inc.prunes(bound, order)) {
+            self.count_bound();
+            return Ok(None);
         }
         if self.projection {
             return self.quarantine_or_raise(self.evaluate_projected(trace, key, cfg));
@@ -545,218 +540,124 @@ impl ExplorationEngine {
         self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))
     }
 
-    /// Branch-and-bound evaluation of a whole bound-ordered batch —
-    /// `items` is a window of `(order, bound)` entries from
-    /// [`crate::analyze::rank_by_bound`], `incumbent` the best replayed
-    /// peak *before the window started*. Returns one slot per item, in
-    /// item order: `None` for pruned/quarantined candidates, `Some` for
-    /// evaluated ones.
-    ///
-    /// The fast path fuses every candidate that survives pruning and both
-    /// cache tiers into **one** [`replay_compiled_batch`] pass over the
-    /// compiled event stream. With projection on, candidates sharing a
-    /// [`ProjectedKey`] are first collapsed to one representative — the
-    /// earliest item of the window, which is also the earliest enumeration
-    /// order among them, because equal projected keys imply equal bounds
-    /// and the window is bound-ordered — and the others are served copies
-    /// ([`EngineCounters::projection_hits`]).
-    ///
-    /// Engines with budgets, fault plans, journals or quarantine fall back
-    /// to the per-candidate serial path: those features need per-candidate
-    /// control (deterministic step budgets, typed panic attribution,
-    /// journalling at replay granularity) that a fused loop cannot give.
-    /// If the fused kernel itself panics, the window is redone serially so
-    /// the panic is attributed to its owner as a typed
-    /// [`Error::CandidatePanicked`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures of candidates
-    /// that were *not* pruned.
-    pub fn evaluate_bounded_batch(
+    /// The sweep path with projection on: projected tier → journal →
+    /// fresh replay, publishing to the projected tier only. The structural
+    /// tier never hits on a sweep (each configuration is enumerated once),
+    /// so keying it would only cost a [`crate::methodology::cache::ConfigKey`]
+    /// per candidate.
+    pub(super) fn evaluate_projected(
         &self,
         trace: &Trace,
         key: TraceKey,
-        configs: &[DmConfig],
-        items: &[(usize, usize)],
-        incumbent: Option<Incumbent>,
-    ) -> Result<Vec<Option<Evaluation>>> {
-        let mut out: Vec<Option<Evaluation>> = (0..items.len()).map(|_| None).collect();
-        let mut survivors: Vec<usize> = Vec::with_capacity(items.len());
-        for (i, &(order, bound)) in items.iter().enumerate() {
-            let cfg = &configs[order];
-            if crate::analyze::prune_reason(cfg).is_some() {
-                self.statically_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if let Some(inc) = incumbent {
-                if bound > inc.peak || (bound == inc.peak && order > inc.order) {
-                    self.bound_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            }
-            survivors.push(i);
+        cfg: &DmConfig,
+    ) -> Result<Evaluation> {
+        let pkey = ProjectedKey::of(cfg, &self.projection_for(key, trace));
+        if let Some(stats) = self.cache.get_projected(key, &pkey) {
+            return Ok(self.projection_hit(trace, key, cfg, stats));
         }
-        let healthy = !self.budget.is_bounded()
-            && self.fault_plan.is_none()
-            && self.journal.is_none()
-            && !self.quarantine;
-        if !healthy {
-            for &i in &survivors {
-                let cfg = &configs[items[i].0];
-                out[i] = if self.projection {
-                    self.quarantine_or_raise(self.evaluate_projected(trace, key, cfg))?
-                } else {
-                    self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))?
-                };
-            }
-            return Ok(out);
+        if let Some(stats) = self.journal_lookup(key, cfg) {
+            self.publish(key, cfg, Some(pkey), stats.clone());
+            return Ok(self.cache_hit(cfg, stats));
         }
-        // Serve projected-cache hits; group the misses by ProjectedKey so
-        // each behavioral equivalence class replays exactly once. The
-        // first member of a group (earliest item index) is its
-        // representative.
-        let projection = self.projection.then(|| self.projection_for(key, trace));
-        let mut groups: Vec<(Option<ProjectedKey>, Vec<usize>)> = Vec::new();
-        let mut group_of: HashMap<ProjectedKey, usize> = HashMap::new();
-        for &i in &survivors {
-            let cfg = &configs[items[i].0];
-            let Some(projection) = &projection else {
-                groups.push((None, vec![i]));
-                continue;
-            };
-            let pkey = ProjectedKey::of(cfg, projection);
-            if let Some(mut stats) = self.cache.get_projected(key, &pkey) {
-                self.projection_hits.fetch_add(1, Ordering::Relaxed);
-                if stats.manager.as_ref() != cfg.name {
-                    stats.manager = Arc::from(cfg.name.as_str());
-                }
-                #[cfg(debug_assertions)]
-                self.shadow_oracle_check(trace, key, cfg, &stats);
-                out[i] = Some(Evaluation {
-                    stats,
-                    cache_hit: true,
-                    projected: true,
-                });
-                continue;
-            }
-            match group_of.get(&pkey) {
-                Some(&g) => groups[g].1.push(i),
-                None => {
-                    group_of.insert(pkey.clone(), groups.len());
-                    groups.push((Some(pkey), vec![i]));
-                }
-            }
-        }
-        // Representatives already known structurally (or via the journal)
-        // are served through the ordinary path; the rest go to the fused
-        // kernel.
-        let mut fused: Vec<usize> = Vec::new();
-        for (g, (_, members)) in groups.iter().enumerate() {
-            let cfg = &configs[items[members[0]].0];
-            if self.cache.get_keyed(key, cfg).is_some() {
-                out[members[0]] = Some(self.evaluate_one(trace, key, cfg)?);
-            } else {
-                fused.push(g);
-            }
-        }
-        if !fused.is_empty() {
-            let compiled = self.compiled_for(key, trace);
-            let mut managers = Vec::with_capacity(fused.len());
-            for &g in &fused {
-                managers.push(PolicyAllocator::new(configs[items[groups[g].1[0]].0].clone())?);
-            }
-            let replayed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                BATCH_SCRATCH.with(|s| {
-                    replay_compiled_batch(&compiled, &mut managers, &mut s.borrow_mut())
-                })
-            }));
-            match replayed {
-                Ok(results) => {
-                    for (&g, result) in fused.iter().zip(results) {
-                        let rep = groups[g].1[0];
-                        let cfg = &configs[items[rep].0];
-                        let stats = result?;
-                        self.evaluations.fetch_add(1, Ordering::Relaxed);
-                        self.replays.fetch_add(1, Ordering::Relaxed);
-                        self.cache.insert_keyed(key, cfg, stats.clone());
-                        out[rep] = Some(Evaluation {
-                            stats,
-                            cache_hit: false,
-                            projected: false,
-                        });
-                    }
-                }
-                Err(_) => {
-                    // Some candidate panicked inside the fused pass, taking
-                    // the whole window down before any counter or cache was
-                    // touched. Redo the window serially: the serial path's
-                    // catch_unwind attributes the panic to its owner as a
-                    // typed error.
-                    for &g in &fused {
-                        let rep = groups[g].1[0];
-                        out[rep] = Some(self.evaluate_one(trace, key, &configs[items[rep].0])?);
-                    }
-                }
-            }
-        }
-        // Publish each representative's stats to the projection tier and
-        // serve the other members of its equivalence class.
-        for (pkey, members) in groups {
-            let Some(pkey) = pkey else { continue };
-            let Some(rep_eval) = out[members[0]].as_ref() else {
-                continue;
-            };
-            let rep_stats = rep_eval.stats.clone();
-            self.cache.insert_projected(key, pkey, rep_stats.clone());
-            for &m in &members[1..] {
-                let cfg = &configs[items[m].0];
-                let mut stats = rep_stats.clone();
-                if stats.manager.as_ref() != cfg.name {
-                    stats.manager = Arc::from(cfg.name.as_str());
-                }
-                #[cfg(debug_assertions)]
-                self.shadow_oracle_check(trace, key, cfg, &stats);
-                self.projection_hits.fetch_add(1, Ordering::Relaxed);
-                out[m] = Some(Evaluation {
-                    stats,
-                    cache_hit: true,
-                    projected: true,
-                });
-            }
-        }
-        Ok(out)
+        let stats = self.replay_fresh(&self.compiled_for(key, trace), cfg)?;
+        self.commit_replay(key, cfg, Some(pkey), stats)
     }
 
-    /// The sweep path with projection on: projected-cache lookup first,
-    /// then the ordinary structural path, publishing the fresh result to
-    /// the projection tier so behaviorally-identical later candidates hit.
-    fn evaluate_projected(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> Result<Evaluation> {
-        let projection = self.projection_for(key, trace);
-        let pkey = ProjectedKey::of(cfg, &projection);
-        if let Some(mut stats) = self.cache.get_projected(key, &pkey) {
-            self.projection_hits.fetch_add(1, Ordering::Relaxed);
-            if stats.manager.as_ref() != cfg.name {
-                stats.manager = Arc::from(cfg.name.as_str());
-            }
-            #[cfg(debug_assertions)]
-            self.shadow_oracle_check(trace, key, cfg, &stats);
-            return Ok(Evaluation {
-                stats,
-                cache_hit: true,
-                projected: true,
-            });
+    /// Count a projection-tier hit and relabel the copied stats. In debug
+    /// builds the copy is checked against a fresh shadow replay.
+    pub(super) fn projection_hit(
+        &self,
+        trace: &Trace,
+        key: TraceKey,
+        cfg: &DmConfig,
+        stats: FootprintStats,
+    ) -> Evaluation {
+        self.projection_hits.fetch_add(1, Ordering::Relaxed);
+        let stats = relabel(stats, cfg);
+        self.shadow_oracle_check(trace, key, cfg, &stats);
+        Evaluation {
+            stats,
+            cache_hit: true,
+            projected: true,
         }
-        let eval = self.evaluate_one(trace, key, cfg)?;
-        self.cache.insert_projected(key, pkey, eval.stats.clone());
-        Ok(eval)
+    }
+
+    /// Count a structural-tier or journal hit (an evaluation without a
+    /// replay) and relabel the stats.
+    pub(super) fn cache_hit(&self, cfg: &DmConfig, stats: FootprintStats) -> Evaluation {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        Evaluation {
+            stats: relabel(stats, cfg),
+            cache_hit: true,
+            projected: false,
+        }
+    }
+
+    /// Count a successful fresh replay, publish it to the projected tier
+    /// under `pkey` (or the structural tier when `None`) and append it to
+    /// the journal.
+    ///
+    /// # Errors
+    ///
+    /// Journal write failures.
+    pub(super) fn commit_replay(
+        &self,
+        key: TraceKey,
+        cfg: &DmConfig,
+        pkey: Option<ProjectedKey>,
+        stats: FootprintStats,
+    ) -> Result<Evaluation> {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        self.replays.fetch_add(1, Ordering::Relaxed);
+        self.publish(key, cfg, pkey, stats.clone());
+        if let Some(journal) = &self.journal {
+            journal.record(key.fingerprint(), key.events(), cfg.fingerprint(), &stats)?;
+        }
+        Ok(Evaluation {
+            stats,
+            cache_hit: false,
+            projected: false,
+        })
+    }
+
+    /// Memoise `stats` under `pkey` in the projected tier, or under the
+    /// configuration's structural key when `pkey` is `None`.
+    pub(super) fn publish(
+        &self,
+        key: TraceKey,
+        cfg: &DmConfig,
+        pkey: Option<ProjectedKey>,
+        stats: FootprintStats,
+    ) {
+        match pkey {
+            Some(pkey) => self.cache.insert_projected(key, pkey, stats),
+            None => self.cache.insert_keyed(key, cfg, stats),
+        }
+    }
+
+    /// The journalled stats of `cfg` on this trace, if a previous run
+    /// recorded them.
+    pub(super) fn journal_lookup(&self, key: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
+        self.journal
+            .as_ref()?
+            .lookup(key.fingerprint(), key.events(), cfg.fingerprint())
+    }
+
+    /// Count a candidate a prune-safe lint skipped.
+    pub(super) fn count_static(&self) {
+        self.statically_pruned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count a candidate the incumbent bound-pruned.
+    pub(super) fn count_bound(&self) {
+        self.bound_pruned.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The projection soundness oracle (debug builds only): any stats
     /// served off a [`ProjectedKey`] match must be **bit-identical** to a
     /// fresh, uncounted replay of the candidate itself. A failure here is
     /// a hole in a [`ProjectedKey::of`] canonicalization rule.
-    #[cfg(debug_assertions)]
     fn shadow_oracle_check(
         &self,
         trace: &Trace,
@@ -764,17 +665,18 @@ impl ExplorationEngine {
         cfg: &DmConfig,
         served: &FootprintStats,
     ) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         let compiled = self.compiled_for(key, trace);
         let mut mgr = PolicyAllocator::new(cfg.clone())
             .expect("shadow oracle: projected candidate must construct");
         let mut scratch = ReplayScratch::new();
-        let mut fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+        let fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
             .expect("shadow oracle: projected candidate must replay");
-        if fresh.manager.as_ref() != cfg.name {
-            fresh.manager = Arc::from(cfg.name.as_str());
-        }
         assert_eq!(
-            &fresh, served,
+            &relabel(fresh, cfg),
+            served,
             "projection oracle violated for '{}': served stats differ from a fresh replay",
             cfg.name
         );
@@ -783,10 +685,13 @@ impl ExplorationEngine {
     /// The sweep entry points' failure policy. In quarantine mode a
     /// panicking (`EX001`) or over-budget (`EX002`) candidate becomes a
     /// counted skip — `Ok(None)` — keeping the partition invariant
-    /// `evaluations + statically_pruned + bound_pruned + quarantined +
-    /// budget_exceeded == enumerated`. Everything else (and everything,
-    /// with quarantine off) propagates.
-    fn quarantine_or_raise(&self, result: Result<Evaluation>) -> Result<Option<Evaluation>> {
+    /// `evaluations + projection_hits + statically_pruned + bound_pruned +
+    /// quarantined + budget_exceeded == enumerated`. Everything else (and
+    /// everything, with quarantine off) propagates.
+    pub(super) fn quarantine_or_raise(
+        &self,
+        result: Result<Evaluation>,
+    ) -> Result<Option<Evaluation>> {
         match result {
             Ok(e) => Ok(Some(e)),
             Err(e) if !self.quarantine => Err(e),
@@ -802,44 +707,39 @@ impl ExplorationEngine {
         }
     }
 
-    /// Evaluate one candidate: cache → journal → fresh replay. Counters
-    /// are bumped only on success, so failed candidates can be
-    /// re-attributed (quarantined, over budget) by the caller without
-    /// breaking the partition invariant.
+    /// Evaluate one candidate on the structural tier: cache → journal →
+    /// fresh replay. Counters are bumped only on success, so failed
+    /// candidates can be re-attributed (quarantined, over budget) by the
+    /// caller without breaking the partition invariant.
     fn evaluate_one(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> Result<Evaluation> {
-        if let Some(mut stats) = self.cache.get_keyed(key, cfg) {
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            // The cache key ignores names; restore this candidate's label
-            // so hit and miss paths are indistinguishable to the caller.
-            // Candidate completions usually inherit the methodology's one
-            // name, so this is normally a comparison, not an allocation.
-            if stats.manager.as_ref() != cfg.name {
-                stats.manager = Arc::from(cfg.name.as_str());
-            }
-            return Ok(Evaluation {
-                stats,
-                cache_hit: true,
-                projected: false,
-            });
+        if let Some(stats) = self.cache.get_keyed(key, cfg) {
+            return Ok(self.cache_hit(cfg, stats));
         }
+        if let Some(stats) = self.journal_lookup(key, cfg) {
+            self.publish(key, cfg, None, stats.clone());
+            return Ok(self.cache_hit(cfg, stats));
+        }
+        let stats = self.replay_fresh(&self.compiled_for(key, trace), cfg)?;
+        self.commit_replay(key, cfg, None, stats)
+    }
+
+    /// Replay `cfg` from scratch under the engine's budget and fault plan.
+    /// Pure: no counter, cache tier or journal is touched, so speculative
+    /// replays on worker threads can be dropped uncounted.
+    ///
+    /// # Errors
+    ///
+    /// Manager construction and replay failures; a panicking replay
+    /// becomes [`Error::CandidatePanicked`] carrying the candidate's
+    /// fingerprint (the quarantine boundary: the worker owns its scratch
+    /// and the manager is ours alone, so unwinding leaves nothing shared
+    /// half-updated).
+    pub(super) fn replay_fresh(
+        &self,
+        compiled: &CompiledTrace,
+        cfg: &DmConfig,
+    ) -> Result<FootprintStats> {
         let fingerprint = cfg.fingerprint();
-        if let Some(journal) = &self.journal {
-            if let Some(mut stats) = journal.lookup(key.fingerprint(), key.events(), fingerprint) {
-                self.evaluations.fetch_add(1, Ordering::Relaxed);
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if stats.manager.as_ref() != cfg.name {
-                    stats.manager = Arc::from(cfg.name.as_str());
-                }
-                self.cache.insert_keyed(key, cfg, stats.clone());
-                return Ok(Evaluation {
-                    stats,
-                    cache_hit: true,
-                    projected: false,
-                });
-            }
-        }
-        let compiled = self.compiled_for(key, trace);
         let budget = match &self.fault_plan {
             Some(plan) if plan.should_exhaust(fingerprint) => Some(ReplayBudget::steps(0)),
             _ => self.budget.is_bounded().then(|| self.budget.materialize()),
@@ -848,9 +748,6 @@ impl ExplorationEngine {
             .fault_plan
             .as_ref()
             .is_some_and(|p| p.should_panic(fingerprint));
-        // The quarantine boundary: a panicking replay (the worker owns its
-        // scratch, the manager is ours alone, the caches are only touched
-        // on success) unwinds to here and becomes a typed error.
         let replayed = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("injected fault: candidate {fingerprint:016x}");
@@ -859,38 +756,23 @@ impl ExplorationEngine {
             REPLAY_SCRATCH.with(|s| {
                 let mut scratch = s.borrow_mut();
                 match &budget {
-                    Some(b) => replay_compiled_budgeted(&compiled, &mut mgr, &mut scratch, b),
-                    None => replay_compiled_with(&compiled, &mut mgr, &mut scratch),
+                    Some(b) => replay_compiled_budgeted(compiled, &mut mgr, &mut scratch, b),
+                    None => replay_compiled_with(compiled, &mut mgr, &mut scratch),
                 }
             })
         }));
-        let stats = match replayed {
-            Ok(Ok(stats)) => stats,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(Error::CandidatePanicked {
-                    fingerprint,
-                    reason: panic_reason(payload.as_ref()),
-                })
-            }
-        };
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.replays.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert_keyed(key, cfg, stats.clone());
-        if let Some(journal) = &self.journal {
-            journal.record(key.fingerprint(), key.events(), fingerprint, &stats)?;
-        }
-        Ok(Evaluation {
-            stats,
-            cache_hit: false,
-            projected: false,
+        replayed.unwrap_or_else(|payload| {
+            Err(Error::CandidatePanicked {
+                fingerprint,
+                reason: panic_reason(payload.as_ref()),
+            })
         })
     }
 
     /// The trace-conditioned projection of `trace`, derived on first
     /// sight; same lock discipline as [`ExplorationEngine::compiled_for`]
     /// (the O(events) `TraceFacts` pass runs outside the table lock).
-    fn projection_for(&self, key: TraceKey, trace: &Trace) -> Arc<TraceProjection> {
+    pub(super) fn projection_for(&self, key: TraceKey, trace: &Trace) -> Arc<TraceProjection> {
         if let Some(hit) = self
             .projections
             .lock()
@@ -907,7 +789,7 @@ impl ExplorationEngine {
 
     /// The compiled form of `trace`, compiling on first sight. Shared by
     /// every worker; the `Arc` lets a replay run outside the table lock.
-    fn compiled_for(&self, key: TraceKey, trace: &Trace) -> Arc<CompiledTrace> {
+    pub(super) fn compiled_for(&self, key: TraceKey, trace: &Trace) -> Arc<CompiledTrace> {
         if let Some(hit) = self
             .compiled
             .lock()
@@ -954,6 +836,24 @@ impl ExplorationEngine {
             .remove(&key);
     }
 
+    /// Reserve up to `want` worker threads from the engine-wide budget of
+    /// `jobs − 1` spawned threads (the calling thread is the last worker).
+    /// Fan-outs nest, so an inner call gets what the outer ones left.
+    pub(super) fn reserve_workers(&self, want: usize) -> usize {
+        let available = self
+            .jobs
+            .saturating_sub(1)
+            .saturating_sub(self.spawned.load(Ordering::Relaxed));
+        let n = available.min(want);
+        self.spawned.fetch_add(n, Ordering::Relaxed);
+        n
+    }
+
+    /// Return `n` reserved worker threads to the budget.
+    pub(super) fn release_workers(&self, n: usize) {
+        self.spawned.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Apply `f` to every item, fanning out over scoped worker threads,
     /// and return the results in input order. With one job (or one item)
     /// this is a plain serial map — no threads, no locks.
@@ -971,11 +871,7 @@ impl ExplorationEngine {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let available = self
-            .jobs
-            .saturating_sub(1)
-            .saturating_sub(self.spawned.load(Ordering::Relaxed));
-        let extra = available.min(items.len().saturating_sub(1));
+        let extra = self.reserve_workers(items.len().saturating_sub(1));
         if extra == 0 {
             return items.iter().map(f).collect();
         }
@@ -987,14 +883,13 @@ impl ExplorationEngine {
             let r = f(item);
             *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
         };
-        self.spawned.fetch_add(extra, Ordering::Relaxed);
         std::thread::scope(|scope| {
             for _ in 0..extra {
                 scope.spawn(work);
             }
             work();
         });
-        self.spawned.fetch_sub(extra, Ordering::Relaxed);
+        self.release_workers(extra);
         slots
             .into_iter()
             .map(|s| {
@@ -1004,6 +899,17 @@ impl ExplorationEngine {
             })
             .collect()
     }
+}
+
+/// Restore `cfg`'s label on stats served from a memo: cache keys ignore
+/// names, so hit and miss paths stay indistinguishable to the caller.
+/// Candidates usually share the methodology's one name, so this is
+/// normally a comparison, not an allocation.
+fn relabel(mut stats: FootprintStats, cfg: &DmConfig) -> FootprintStats {
+    if stats.manager.as_ref() != cfg.name {
+        stats.manager = Arc::from(cfg.name.as_str());
+    }
+    stats
 }
 
 /// Best-effort stringification of a caught panic payload.
@@ -1342,33 +1248,47 @@ mod tests {
         assert_eq!(engine.cache().projected_len(), 1);
     }
 
+    /// `(order, bound)` entries of every preset, bound-ranked on `t`.
+    fn ranked_presets(t: &Trace) -> (Vec<DmConfig>, Vec<(usize, usize)>) {
+        let configs = presets::all();
+        let ranked = crate::analyze::rank_by_bound(&crate::analyze::TraceFacts::of(t), &configs);
+        (configs, ranked)
+    }
+
     #[test]
     fn batched_window_matches_per_candidate_evaluation() {
+        // The windowed sweep (four jobs speculating) against the
+        // per-candidate `evaluate_bounded` fold on a serial engine: same
+        // incumbent, same counters, with and without projection.
         let t = trace();
         let key = TraceKey::of(&t);
-        let configs = presets::all();
-        let items: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
-        let batched_engine = ExplorationEngine::serial().with_batch(8);
-        assert_eq!(batched_engine.batch(), 8);
-        let batched = batched_engine
-            .evaluate_bounded_batch(&t, key, &configs, &items, None)
-            .unwrap();
-        let serial_engine = ExplorationEngine::serial();
-        for (i, got) in batched.iter().enumerate() {
-            let want = serial_engine
-                .evaluate_bounded(&t, key, &configs[i], 0, i, None)
-                .unwrap();
-            match (got, want) {
-                (Some(g), Some(w)) => assert_eq!(g.stats, w.stats, "{}", configs[i].name),
-                (None, None) => {}
-                other => panic!("slot {i} diverged: {other:?}"),
+        let (configs, ranked) = ranked_presets(&t);
+        for projection in [false, true] {
+            let serial = ExplorationEngine::serial().with_projection(projection);
+            let mut best: Option<Incumbent> = None;
+            let mut evaluated = 0;
+            for &(order, bound) in &ranked {
+                let Some(eval) = serial
+                    .evaluate_bounded(&t, key, &configs[order], bound, order, best)
+                    .unwrap()
+                else {
+                    continue;
+                };
+                evaluated += 1;
+                let peak = eval.stats.peak_footprint;
+                if best.is_none_or(|b| peak < b.peak || (peak == b.peak && order < b.order)) {
+                    best = Some(Incumbent { peak, order });
+                }
             }
+            let windowed = ExplorationEngine::new(4).with_projection(projection);
+            let got = windowed.sweep_ranked(&t, key, &configs, &ranked).unwrap();
+            assert_eq!(got, (best, evaluated), "projection {projection}");
+            assert_eq!(
+                windowed.counters(),
+                serial.counters(),
+                "projection {projection}"
+            );
         }
-        assert_eq!(
-            batched_engine.counters().replays,
-            serial_engine.counters().replays,
-            "same candidates must replay on both paths"
-        );
     }
 
     #[test]
@@ -1380,60 +1300,70 @@ mod tests {
         let t = b.finish().unwrap();
         let key = TraceKey::of(&t);
         let header = presets::drr_paper();
-        let footer = header
-            .clone()
-            .with_leaf(crate::space::trees::Leaf::A3(crate::space::trees::BlockTags::Footer));
+        let footer = header.clone().with_leaf(crate::space::trees::Leaf::A3(
+            crate::space::trees::BlockTags::Footer,
+        ));
         let configs = vec![header, footer, presets::lea_like()];
-        let items: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
-        let engine = ExplorationEngine::serial().with_projection(true).with_batch(4);
-        let out = engine
-            .evaluate_bounded_batch(&t, key, &configs, &items, None)
-            .unwrap();
-        assert!(!out[0].as_ref().unwrap().projected, "representative replays");
-        assert!(out[1].as_ref().unwrap().projected, "duplicate is served a copy");
-        assert_eq!(out[1].as_ref().unwrap().stats.manager.as_ref(), configs[1].name);
-        assert!(!out[2].as_ref().unwrap().projected, "distinct behavior replays");
+        // Bound 0 never prunes: all three reach the same window.
+        let ranked: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
+        let engine = ExplorationEngine::new(2).with_projection(true);
+        let (_, evaluated) = engine.sweep_ranked(&t, key, &configs, &ranked).unwrap();
         let c = engine.counters();
-        assert_eq!(c.replays, 2);
-        assert_eq!(c.projection_hits, 1);
         assert_eq!(
-            c.evaluations + c.projection_hits,
-            configs.len(),
-            "partition over the window"
+            c.replays, 2,
+            "the footer sibling follows the header's replay"
         );
+        assert_eq!(c.projection_hits, 1);
+        assert_eq!(evaluated, configs.len(), "partition over the window");
+        assert_eq!(engine.cache().projected_len(), 2);
+        assert!(engine.cache().is_empty(), "the sweep keeps one cache tier");
     }
 
     #[test]
     fn batched_window_prunes_and_faults_fall_back_per_candidate() {
-        let t = trace();
+        let mut b = Trace::builder();
+        for i in 0..25usize {
+            b.alloc(48 + (i % 5) * 32);
+        }
+        let t = b.finish().unwrap();
         let key = TraceKey::of(&t);
+        let header = presets::drr_paper();
+        let footer = header.clone().with_leaf(crate::space::trees::Leaf::A3(
+            crate::space::trees::BlockTags::Footer,
+        ));
         let victim = presets::kingsley_like();
-        let configs = vec![presets::drr_paper(), victim.clone(), presets::lea_like()];
-        let items: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
-        // Quarantine + fault plan forces the serial fallback inside the
-        // batch entry point; the panicking victim becomes a counted skip.
-        let engine = ExplorationEngine::serial()
-            .with_batch(4)
-            .with_quarantine(true)
-            .with_fault_plan(FaultPlan::new().panic_candidate(victim.fingerprint()));
-        let out = engine
-            .evaluate_bounded_batch(&t, key, &configs, &items, None)
-            .unwrap();
-        assert!(out[0].is_some() && out[2].is_some());
-        assert!(out[1].is_none(), "the panicking candidate is quarantined");
-        let c = engine.counters();
-        assert_eq!(c.quarantined, 1);
-        assert_eq!(c.evaluations, 2);
-        // Bound pruning inside a window is counted exactly like the serial
-        // path.
-        let inc = Incumbent { peak: 0, order: 0 };
-        let pruned = ExplorationEngine::serial()
-            .with_batch(4);
-        let out = pruned
-            .evaluate_bounded_batch(&t, key, &configs, &[(1, usize::MAX), (2, usize::MAX)], Some(inc))
-            .unwrap();
-        assert!(out.iter().all(Option::is_none));
-        assert_eq!(pruned.counters().bound_pruned, 2);
+        let configs = vec![header.clone(), footer, victim.clone(), presets::lea_like()];
+        let ranked: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
+        // The header representative panics: it is quarantined, and its
+        // footer sibling, finding nothing published, replays itself — the
+        // serial path. The second victim is quarantined too.
+        let plan = || {
+            FaultPlan::new()
+                .panic_candidate(header.fingerprint())
+                .panic_candidate(victim.fingerprint())
+        };
+        for jobs in [1, 4] {
+            let engine = ExplorationEngine::new(jobs)
+                .with_projection(true)
+                .with_quarantine(true)
+                .with_fault_plan(plan());
+            let (best, evaluated) = engine.sweep_ranked(&t, key, &configs, &ranked).unwrap();
+            let c = engine.counters();
+            assert_eq!(c.quarantined, 2, "jobs {jobs}: {c}");
+            assert_eq!(
+                (c.replays, c.projection_hits, evaluated),
+                (2, 0, 2),
+                "jobs {jobs}: {c}"
+            );
+            assert!(best.is_some_and(|b| b.order == 1 || b.order == 3));
+        }
+        // Everything after the first evaluated candidate is bound-pruned
+        // by a losing floor; the static lints still count first.
+        let engine = ExplorationEngine::new(4);
+        let ranked = [(3, 0), (0, usize::MAX), (2, usize::MAX)];
+        let (best, evaluated) = engine.sweep_ranked(&t, key, &configs, &ranked).unwrap();
+        assert_eq!((best.map(|b| b.order), evaluated), (Some(3), 1));
+        assert_eq!(engine.counters().bound_pruned, 2);
     }
 
     #[test]

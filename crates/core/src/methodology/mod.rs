@@ -26,6 +26,7 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod engine;
+mod window;
 
 pub use cache::{ProjectedKey, TraceProjection};
 pub use checkpoint::CheckpointJournal;
@@ -1243,12 +1244,15 @@ pub fn exhaustive_best(
 /// evaluated (replays + cache hits + projection hits), i.e. enumerated
 /// minus pruned.
 ///
-/// Engines with [`ExplorationEngine::set_batch`] > 1 sweep in fused
-/// rounds (see the round loop below); engines with
-/// [`ExplorationEngine::set_projection`] additionally collapse
-/// behaviorally-identical candidates to one replay per
-/// [`cache::ProjectedKey`] equivalence class. Both options preserve the
-/// bit-identical-winner guarantee.
+/// Engines with [`ExplorationEngine::set_projection`] additionally
+/// collapse behaviorally-identical candidates to one replay per
+/// [`cache::ProjectedKey`] equivalence class. The sweep runs in windows
+/// of the ranked list: each window is planned against the committed
+/// incumbent, its replays run speculatively on the engine's
+/// [`jobs`](ExplorationEngine::jobs), and the results are committed in
+/// rank order. Winner, [`EngineCounters`] and checkpoint journal bytes are
+/// the same for every `jobs` value and equal a per-candidate
+/// [`ExplorationEngine::evaluate_bounded`] fold over the ranked list.
 ///
 /// # Errors
 ///
@@ -1259,74 +1263,20 @@ pub fn exhaustive_best_with_engine(
     limit: Option<usize>,
     engine: &ExplorationEngine,
 ) -> Result<(DmConfig, usize, usize)> {
-    let configs: Vec<DmConfig> = crate::space::enumerate::SpaceIter::with_order_and_params(
-        TRAVERSAL_ORDER.to_vec(),
-        params,
-    )
-    .take(limit.unwrap_or(usize::MAX))
-    .collect();
+    let configs: Vec<DmConfig> =
+        crate::space::enumerate::SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params)
+            .take(limit.unwrap_or(usize::MAX))
+            .collect();
     let facts = crate::analyze::TraceFacts::of(trace);
     let ranked = crate::analyze::rank_by_bound(&facts, &configs);
-    let key = cache::TraceKey::of(trace);
-    // Incumbent = the candidate the plain first-seen-minimum fold over
-    // enumeration order would currently hold: smallest peak, earliest
-    // enumeration index among peak ties.
-    let mut best: Option<(usize, usize)> = None; // (peak, enum index)
-    let mut evaluated = 0usize;
-    if engine.batch() > 1 {
-        // Fused rounds: `batch × jobs` ranked candidates per round, one
-        // bound-ordered window per worker, each window one fused
-        // multi-candidate replay. The incumbent is only refreshed between
-        // rounds — a *weaker* prune than the serial loop's per-candidate
-        // refresh, so every candidate the serial loop evaluates is also
-        // evaluated here (a superset), and folding the rounds' results in
-        // ranked order reproduces the serial incumbent evolution exactly:
-        // the winner is bit-identical, only `bound_pruned` can differ
-        // downward (compensated one-for-one by `evaluations` +
-        // `projection_hits`).
-        let window = engine.batch().saturating_mul(engine.jobs().max(1));
-        let mut at = 0usize;
-        while at < ranked.len() {
-            let round = &ranked[at..ranked.len().min(at + window)];
-            at += round.len();
-            let incumbent = best.map(|(peak, o)| engine::Incumbent { peak, order: o });
-            let chunks: Vec<&[(usize, usize)]> = round.chunks(engine.batch()).collect();
-            let results = engine.run_parallel(&chunks, |chunk| {
-                engine.evaluate_bounded_batch(trace, key, &configs, chunk, incumbent)
-            });
-            for (chunk, result) in chunks.iter().zip(results) {
-                for (&(order, _), eval) in chunk.iter().zip(result?) {
-                    let Some(eval) = eval else { continue };
-                    evaluated += 1;
-                    let peak = eval.stats.peak_footprint;
-                    if best.is_none_or(|(bp, bo)| peak < bp || (peak == bp && order < bo)) {
-                        best = Some((peak, order));
-                    }
-                }
-            }
-        }
-    } else {
-        for &(order, bound) in &ranked {
-            let incumbent = best.map(|(peak, o)| engine::Incumbent { peak, order: o });
-            let Some(eval) =
-                engine.evaluate_bounded(trace, key, &configs[order], bound, order, incumbent)?
-            else {
-                continue;
-            };
-            evaluated += 1;
-            let peak = eval.stats.peak_footprint;
-            if best.is_none_or(|(bp, bo)| peak < bp || (peak == bp && order < bo)) {
-                best = Some((peak, order));
-            }
-        }
-    }
-    let (peak, order) =
-        best.ok_or_else(|| Error::EmptySearchSpace("no configuration enumerated".into()))?;
+    let (best, evaluated) =
+        engine.sweep_ranked(trace, cache::TraceKey::of(trace), &configs, &ranked)?;
+    let best = best.ok_or_else(|| Error::EmptySearchSpace("no configuration enumerated".into()))?;
     let cfg = configs
         .into_iter()
-        .nth(order)
+        .nth(best.order)
         .expect("winner index is in range");
-    Ok((cfg, peak, evaluated))
+    Ok((cfg, best.peak, evaluated))
 }
 
 #[cfg(test)]
@@ -1873,15 +1823,14 @@ mod tests {
         let (want_cfg, want_peak, _) =
             exhaustive_best_with_engine(&t, params.clone(), limit, &plain).unwrap();
 
-        let fused = ExplorationEngine::serial()
-            .with_projection(true)
-            .with_batch(16);
+        // Projected, and speculating each window's replays on four jobs.
+        let windowed = ExplorationEngine::new(4).with_projection(true);
         let (got_cfg, got_peak, evaluated) =
-            exhaustive_best_with_engine(&t, params, limit, &fused).unwrap();
+            exhaustive_best_with_engine(&t, params, limit, &windowed).unwrap();
 
         assert_eq!(got_cfg.fingerprint(), want_cfg.fingerprint());
         assert_eq!(got_peak, want_peak);
-        let c = fused.counters();
+        let c = windowed.counters();
         assert_eq!(
             evaluated,
             c.evaluations + c.projection_hits,

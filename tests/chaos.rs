@@ -27,7 +27,7 @@ use dmm::core::error::Error;
 use dmm::core::fault::{truncate_at, FaultPlan};
 use dmm::core::methodology::{
     exhaustive_best_with_engine, CheckpointJournal, ExplorationEngine, ExplorationOutcome,
-    ShardFailurePolicy, SHARD_RETRY_ATTEMPTS,
+    Incumbent, ShardFailurePolicy, SHARD_RETRY_ATTEMPTS,
 };
 use dmm::core::space::enumerate::SpaceIter;
 use dmm::core::space::order::TRAVERSAL_ORDER;
@@ -124,6 +124,166 @@ fn quarantined_sweep_survives_candidate_faults_with_the_same_winner() {
         limit,
         "partition invariant broken: {c}"
     );
+}
+
+/// The windowed chaos sweeps below: the sweep parameters over a prefix
+/// that spans many windows and reaches bound pruning, with projection on
+/// (as the repository's sweeps run), on a trace short enough for debug
+/// builds.
+const WINDOWED_LIMIT: usize = 3000;
+
+/// An alloc-only trace of small objects: per-block tag overhead
+/// dominates the footprint, so the admissible bounds of tag-heavy
+/// candidates exceed the best peak early in the enumeration.
+fn windowed_trace() -> Trace {
+    let mut b = Trace::builder();
+    for i in 0..40usize {
+        b.alloc(8 + (i * 7) % 40);
+    }
+    b.finish().expect("constructed trace is valid")
+}
+
+fn sweep_params() -> Params {
+    let mut params = Params::footprint_optimised();
+    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    params
+}
+
+/// The candidates of the chaos sweeps and their bound ranking.
+fn windowed_space(t: &Trace) -> (Vec<DmConfig>, Vec<(usize, usize)>) {
+    let configs: Vec<DmConfig> =
+        SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), sweep_params())
+            .take(WINDOWED_LIMIT)
+            .collect();
+    let ranked = rank_by_bound(&TraceFacts::of(t), &configs);
+    (configs, ranked)
+}
+
+fn windowed_sweep(
+    t: &Trace,
+    engine: &ExplorationEngine,
+) -> dmm::core::Result<(DmConfig, usize, usize)> {
+    exhaustive_best_with_engine(t, sweep_params(), Some(WINDOWED_LIMIT), engine)
+}
+
+/// Speculative replays of candidates the serial loop bound-prunes are
+/// dropped uncounted: faults injected into *every* such candidate are
+/// neither errors (quarantine off) nor quarantined, over budget or
+/// otherwise counted, at any `jobs`.
+#[test]
+fn faults_on_bound_pruned_candidates_are_never_seen_at_any_jobs() {
+    let t = windowed_trace();
+    let clean = ExplorationEngine::serial().with_projection(true);
+    let (winner, peak, evaluated) = windowed_sweep(&t, &clean).expect("clean sweep");
+    let (configs, ranked) = windowed_space(&t);
+    let order = configs
+        .iter()
+        .position(|c| c.fingerprint() == winner.fingerprint())
+        .expect("the winner is enumerated");
+    let cut = Incumbent { peak, order };
+    let pruned: Vec<u64> = ranked
+        .iter()
+        .filter(|&&(o, b)| cut.prunes(b, o) && prune_reason(&configs[o]).is_none())
+        .map(|&(o, _)| configs[o].fingerprint())
+        .collect();
+    assert!(
+        pruned.len() > 100,
+        "fixture must bound-prune: {} ({})",
+        clean.counters(),
+        pruned.len()
+    );
+    let plan = || {
+        pruned
+            .iter()
+            .enumerate()
+            .fold(FaultPlan::new(), |plan, (i, &fp)| {
+                if i % 2 == 0 {
+                    plan.panic_candidate(fp)
+                } else {
+                    plan.exhaust_candidate(fp)
+                }
+            })
+    };
+    for jobs in [1, 2, 4] {
+        let engine = ExplorationEngine::new(jobs)
+            .with_projection(true)
+            .with_fault_plan(plan());
+        let (w, p, n) = windowed_sweep(&t, &engine)
+            .unwrap_or_else(|e| panic!("jobs {jobs}: a pruned candidate's fault surfaced: {e}"));
+        assert_eq!(
+            (w.fingerprint(), p, n),
+            (winner.fingerprint(), peak, evaluated)
+        );
+        assert_eq!(engine.counters(), clean.counters(), "jobs {jobs}");
+    }
+}
+
+/// A panic on a candidate the sweep does commit is attributed by
+/// fingerprint exactly as at `jobs = 1`: the earliest-ranked victim's
+/// typed error with quarantine off, and the same counters with quarantine
+/// on.
+#[test]
+fn committed_panics_are_attributed_by_fingerprint_as_at_one_job() {
+    use dmm::core::methodology::cache::TraceKey;
+
+    let t = windowed_trace();
+    let path = tmp("windowed-clean.journal");
+    let clean = ExplorationEngine::serial()
+        .with_projection(true)
+        .with_journal(CheckpointJournal::create(&path).expect("create journal"));
+    let (winner, _, _) = windowed_sweep(&t, &clean).expect("clean sweep");
+    let journal = clean.journal().expect("attached");
+    let key = TraceKey::of(&t);
+    let (configs, ranked) = windowed_space(&t);
+    // Victims: the first- and last-ranked replayed (journalled)
+    // non-winners; the panics are injected in reverse rank order.
+    let replayed: Vec<u64> = ranked
+        .iter()
+        .map(|&(o, _)| configs[o].fingerprint())
+        .filter(|&fp| {
+            fp != winner.fingerprint()
+                && journal
+                    .lookup(key.fingerprint(), key.events(), fp)
+                    .is_some()
+        })
+        .collect();
+    assert!(
+        replayed.len() >= 2,
+        "fixture must replay: {}",
+        clean.counters()
+    );
+    let (earliest, latest) = (replayed[0], replayed[replayed.len() - 1]);
+    let plan = || {
+        FaultPlan::new()
+            .panic_candidate(latest)
+            .panic_candidate(earliest)
+    };
+
+    let mut serial_counters = None;
+    for jobs in [1, 2, 4] {
+        let strict = ExplorationEngine::new(jobs)
+            .with_projection(true)
+            .with_fault_plan(plan());
+        match windowed_sweep(&t, &strict) {
+            Err(Error::CandidatePanicked { fingerprint, .. }) => {
+                assert_eq!(fingerprint, earliest, "jobs {jobs}: misattributed panic");
+            }
+            other => panic!("jobs {jobs}: expected the victim's typed panic, got {other:?}"),
+        }
+        let quarantined = ExplorationEngine::new(jobs)
+            .with_projection(true)
+            .with_quarantine(true)
+            .with_fault_plan(plan());
+        let (w, _, _) = windowed_sweep(&t, &quarantined).expect("quarantined sweep completes");
+        assert_eq!(
+            w.fingerprint(),
+            winner.fingerprint(),
+            "jobs {jobs}: winner moved"
+        );
+        let c = quarantined.counters();
+        assert_eq!(c.quarantined, 2, "jobs {jobs}: {c}");
+        assert_eq!(*serial_counters.get_or_insert(c), c, "jobs {jobs}");
+    }
 }
 
 /// Transient worker death: the shard is retried and the run ends

@@ -778,46 +778,112 @@ proptest! {
     }
 }
 
-// Batched + projected exhaustive sweeps stay bit-identical to the serial
-// branch-and-bound engine on random traces (heavier: few cases).
+// Windowed sweeps commit in rank order on one thread, so nothing they
+// report depends on how many workers speculated (heavier: few cases).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The fused round loop and the projection tier never change the
-    /// designed winner: same configuration fingerprint, same peak, and the
-    /// engine's buckets still partition the enumerated prefix.
+    /// For random flat, phased and re-entrant traces, the projected
+    /// branch-and-bound sweep returns the same winner, the same
+    /// `EngineCounters` and a byte-identical checkpoint journal at
+    /// `jobs` ∈ {1, 2, 4}, and all of them equal the per-candidate
+    /// `evaluate_bounded` composition over the bound-ranked list. Debug
+    /// builds sweep a prefix of the space (the shadow oracle re-replays
+    /// every projection hit); release builds sweep all of it.
     #[test]
-    fn batched_projected_sweep_matches_serial_on_random_traces(
-        trace in trace_strategy(60, 1500),
+    fn windowed_sweep_is_identical_across_jobs(
+        flat in trace_strategy(60, 1500),
+        phased in phased_trace_strategy(15, 1024),
+        reentrant in reentrant_phase_strategy(5, 1024),
     ) {
-        use dmm::core::methodology::{exhaustive_best_with_engine, ExplorationEngine};
+        use dmm::core::methodology::exhaustive_best_with_engine;
 
-        let limit = Some(120);
-        let serial = ExplorationEngine::serial();
-        let (scfg, speak, sevald) =
-            exhaustive_best_with_engine(&trace, Params::default(), limit, &serial)
-                .expect("serial sweep");
-
-        let batched = ExplorationEngine::serial()
-            .with_projection(true)
-            .with_batch(8);
-        let (bcfg, bpeak, bevald) =
-            exhaustive_best_with_engine(&trace, Params::default(), limit, &batched)
-                .expect("batched sweep");
-
-        prop_assert_eq!(scfg.summary(), bcfg.summary());
-        prop_assert_eq!(speak, bpeak);
-        let c = batched.counters();
-        prop_assert_eq!(bevald, c.evaluations + c.projection_hits);
-        prop_assert_eq!(
-            c.evaluations + c.projection_hits + c.statically_pruned + c.bound_pruned,
-            limit.unwrap(),
-            "batched buckets must partition the enumerated prefix"
-        );
-        // The weaker per-round incumbent can only *shrink* bound pruning,
-        // never grow it past the serial sweep's.
-        let sc = serial.counters();
-        prop_assert!(c.bound_pruned <= sc.bound_pruned);
-        prop_assert_eq!(sevald, sc.evaluations + sc.projection_hits);
+        let limit = if cfg!(debug_assertions) { Some(500) } else { None };
+        for (name, trace) in [("flat", &flat), ("phased", &phased), ("reentrant", &reentrant)] {
+            let (path, engine) = journaled_sweep_engine(name, 0);
+            let want = composed_sweep(trace, limit, &engine);
+            let want_counters = engine.counters();
+            drop(engine);
+            let want_journal = std::fs::read(&path).expect("journal");
+            for jobs in [1, 2, 4] {
+                let (path, engine) = journaled_sweep_engine(name, jobs);
+                let (cfg, peak, evaluated) =
+                    exhaustive_best_with_engine(trace, sweep_params(), limit, &engine)
+                        .expect("sweep");
+                let counters = engine.counters();
+                drop(engine);
+                prop_assert_eq!((cfg.fingerprint(), peak, evaluated), want, "{} at jobs {}", name, jobs);
+                prop_assert_eq!(counters, want_counters, "{} at jobs {}", name, jobs);
+                prop_assert!(
+                    std::fs::read(&path).expect("journal") == want_journal,
+                    "{} at jobs {}: journal bytes differ from the composition's", name, jobs
+                );
+            }
+        }
     }
+}
+
+/// The parameters of the repository's DRR sweeps: every arm of the space,
+/// profiled classes included, is enumerable.
+fn sweep_params() -> Params {
+    use dmm::core::units::MIN_BLOCK;
+    let mut params = Params::footprint_optimised();
+    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    params
+}
+
+/// A fresh projected engine at `jobs` (0 = the composition's serial
+/// engine) journaling to its own file, which is truncated first.
+fn journaled_sweep_engine(
+    name: &str,
+    jobs: usize,
+) -> (
+    std::path::PathBuf,
+    dmm::core::methodology::ExplorationEngine,
+) {
+    use dmm::core::methodology::{CheckpointJournal, ExplorationEngine};
+    let dir = std::env::temp_dir().join(format!("dmm-proptest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("{name}-{jobs}.journal"));
+    let engine = ExplorationEngine::new(jobs.max(1))
+        .with_projection(true)
+        .with_journal(CheckpointJournal::create(&path).expect("journal"));
+    (path, engine)
+}
+
+/// The branch-and-bound sweep composed from public per-candidate calls:
+/// `evaluate_bounded` down the bound-ranked list, folding the incumbent
+/// after every call. Returns winner fingerprint, peak and evaluations.
+fn composed_sweep(
+    trace: &Trace,
+    limit: Option<usize>,
+    engine: &dmm::core::methodology::ExplorationEngine,
+) -> (u64, usize, usize) {
+    use dmm::core::analyze::{rank_by_bound, TraceFacts};
+    use dmm::core::methodology::cache::TraceKey;
+    use dmm::core::methodology::Incumbent;
+    use dmm::core::space::enumerate::SpaceIter;
+    use dmm::core::space::order::TRAVERSAL_ORDER;
+
+    let configs: Vec<DmConfig> =
+        SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), sweep_params())
+            .take(limit.unwrap_or(usize::MAX))
+            .collect();
+    let ranked = rank_by_bound(&TraceFacts::of(trace), &configs);
+    let key = TraceKey::of(trace);
+    let mut best: Option<Incumbent> = None;
+    let mut evaluated = 0;
+    for &(order, bound) in &ranked {
+        let eval = engine
+            .evaluate_bounded(trace, key, &configs[order], bound, order, best)
+            .expect("composed sweep");
+        let Some(eval) = eval else { continue };
+        evaluated += 1;
+        let peak = eval.stats.peak_footprint;
+        if best.is_none_or(|b| peak < b.peak || (peak == b.peak && order < b.order)) {
+            best = Some(Incumbent { peak, order });
+        }
+    }
+    let best = best.expect("a non-empty space");
+    (configs[best.order].fingerprint(), best.peak, evaluated)
 }
