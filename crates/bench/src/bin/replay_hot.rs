@@ -30,6 +30,10 @@
 //!    sweep, with the winner bit-identical (asserted inside the
 //!    harness). Both sides run at one job, so the gate isolates the
 //!    projection layer.
+//!
+//! The report also carries, ungated, the mean candidate replay per A1
+//! leaf over every 40th configuration of the sweep space on the DRR
+//! trace, normalised by the nop row (`a1_strata`).
 
 fn main() {
     let opts = dmm_bench::opts::parse();
@@ -70,6 +74,17 @@ fn main() {
         s.sweep_wallclock_speedup,
         100.0 * s.projected_replay_ratio
     );
+    let a1 = &report.a1_strata;
+    eprintln!(
+        "A1 strata ({}, every {}th config; nop replay {:.3} ms):",
+        a1.workload, a1.stride, a1.nop_replay_ms
+    );
+    for r in &a1.rows {
+        eprintln!(
+            "  {:<20} {:>4} configs ({} failed): mean replay {:.3} ms = {:.0}x nop",
+            r.leaf, r.configs, r.failed, r.replay_ms_mean, r.vs_nop
+        );
+    }
 
     if check {
         // Branch-and-bound gate: the buckets (including the resilience

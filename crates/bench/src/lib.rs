@@ -802,6 +802,15 @@ pub const PR5_LARGE_CHURN_QUICK: GateBaseline = GateBaseline {
     drr_events_per_sec: 4_977_470.0,
 };
 
+/// The parameter block the harness sweeps use: footprint-optimised, with
+/// four profiled classes.
+fn sweep_params() -> dmm_core::space::config::Params {
+    use dmm_core::units::MIN_BLOCK;
+    let mut params = dmm_core::space::config::Params::footprint_optimised();
+    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    params
+}
+
 /// Pruning telemetry of one branch-and-bound exhaustive sweep — the
 /// `exploration` block of `BENCH_replay.json`. Every enumerated candidate
 /// lands in exactly one bucket: `evaluations + projection_hits +
@@ -856,8 +865,6 @@ pub struct ExplorationPruningReport {
 /// Propagates workload and replay failures.
 pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
     use dmm_core::methodology::exhaustive_best_with_engine;
-    use dmm_core::space::config::Params;
-    use dmm_core::units::MIN_BLOCK;
 
     let w = if quick {
         DrrWorkload::quick(0)
@@ -875,10 +882,8 @@ pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
     } else {
         None
     };
-    let mut params = Params::footprint_optimised();
-    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
     let engine = ExplorationEngine::serial();
-    let (_, _, evaluated) = exhaustive_best_with_engine(&trace, params, limit, &engine)?;
+    let (_, _, evaluated) = exhaustive_best_with_engine(&trace, sweep_params(), limit, &engine)?;
     let c = engine.counters();
     Ok(ExplorationPruningReport {
         workload: w.name().to_string(),
@@ -956,8 +961,6 @@ pub struct SweepReport {
 /// Propagates workload and replay failures.
 pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     use dmm_core::methodology::exhaustive_best_with_engine;
-    use dmm_core::space::config::Params;
-    use dmm_core::units::MIN_BLOCK;
 
     let w = if quick {
         DrrWorkload::quick(0)
@@ -974,8 +977,7 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     } else {
         None
     };
-    let mut params = Params::footprint_optimised();
-    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    let params = sweep_params();
 
     let run = |label: &str, engine: &ExplorationEngine| -> Result<SweepSide> {
         let start = std::time::Instant::now();
@@ -1019,6 +1021,98 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     })
 }
 
+/// One A1 leaf's share of a stride sample of the sweep space: a row of the
+/// `a1_strata` block of `BENCH_replay.json`.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct ArmStratumRow {
+    /// The A1 leaf, e.g. `AddressOrderedList`.
+    pub leaf: String,
+    /// Sampled configurations with this leaf.
+    pub configs: usize,
+    /// Of those, configurations whose replay returned an error (their
+    /// time still counts in the mean, as it does in a sweep).
+    pub failed: usize,
+    /// Mean wall-clock of one candidate replay, manager construction
+    /// included, in milliseconds.
+    pub replay_ms_mean: f64,
+    /// `replay_ms_mean` over one nop-fixture replay of the same trace, so
+    /// the machine's speed cancels as in the manager-bound gates.
+    pub vs_nop: f64,
+}
+
+/// Replay cost of the sweep space split by A1 leaf (see [`a1_strata`]).
+/// Reported, not gated.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct ArmStrataReport {
+    /// Workload whose trace was replayed.
+    pub workload: String,
+    /// Every `stride`-th configuration of the sweep space was replayed.
+    pub stride: usize,
+    /// One nop-fixture replay of the trace, in milliseconds.
+    pub nop_replay_ms: f64,
+    /// One row per A1 leaf, in [`BlockStructure::ALL`] order.
+    ///
+    /// [`BlockStructure::ALL`]: dmm_core::space::trees::BlockStructure::ALL
+    pub rows: Vec<ArmStratumRow>,
+}
+
+/// Replay every `stride`-th configuration of the sweep space (the harness
+/// sweeps' parameters, traversal order) once on `trace`, the way the
+/// exploration engine does — a fresh manager per candidate, the trace
+/// compiled once, one reused scratch — and report the mean replay per A1
+/// leaf, normalised by the nop fixture's replay of the same trace.
+///
+/// # Errors
+///
+/// Propagates failures of the nop-fixture replay.
+pub fn a1_strata(workload: &str, trace: &Trace, stride: usize) -> Result<ArmStrataReport> {
+    use dmm_core::space::enumerate::SpaceIter;
+    use dmm_core::space::trees::BlockStructure;
+
+    let compiled = CompiledTrace::compile(trace);
+    let mut scratch = ReplayScratch::new();
+    let nop_eps = measure_events_per_sec(trace.len(), std::time::Duration::from_millis(100), || {
+        replay_compiled_with(&compiled, &mut NopAllocator::default(), &mut scratch).map(|_| ())
+    })?;
+    let nop_replay_ms = 1e3 * trace.len() as f64 / nop_eps;
+    // Per leaf: (seconds, configs, failed).
+    let mut sums = [(0.0f64, 0usize, 0usize); BlockStructure::ALL.len()];
+    let space = SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), sweep_params());
+    for cfg in space.step_by(stride) {
+        let leaf = BlockStructure::ALL
+            .iter()
+            .position(|&b| b == cfg.block_structure)
+            .expect("every A1 leaf is listed");
+        let start = std::time::Instant::now();
+        let replayed = PolicyAllocator::new(cfg)
+            .and_then(|mut m| replay_compiled_with(&compiled, &mut m, &mut scratch));
+        let sum = &mut sums[leaf];
+        sum.0 += start.elapsed().as_secs_f64();
+        sum.1 += 1;
+        sum.2 += usize::from(replayed.is_err());
+    }
+    let rows = BlockStructure::ALL
+        .iter()
+        .zip(sums)
+        .map(|(leaf, (secs, configs, failed))| {
+            let replay_ms_mean = 1e3 * secs / configs.max(1) as f64;
+            ArmStratumRow {
+                leaf: format!("{leaf:?}"),
+                configs,
+                failed,
+                replay_ms_mean,
+                vs_nop: replay_ms_mean / nop_replay_ms,
+            }
+        })
+        .collect();
+    Ok(ArmStrataReport {
+        workload: workload.to_string(),
+        stride,
+        nop_replay_ms,
+        rows,
+    })
+}
+
 /// The machine-readable result of [`replay_hot`] — written to
 /// `BENCH_replay.json` so future changes have a perf trajectory to regress
 /// against.
@@ -1037,6 +1131,9 @@ pub struct ReplayHotReport {
     /// (see [`sweep_comparison`]): wall-clock speedup, replay reduction,
     /// winner bit-identity.
     pub sweep: SweepReport,
+    /// Mean candidate replay per A1 leaf over a stride sample of the sweep
+    /// space on the DRR trace (see [`a1_strata`]).
+    pub a1_strata: ArmStrataReport,
     /// Manager-bound trajectory: `(drr/nop) / (PR 4 drr/nop)` on the
     /// `large_churn` gate workload — how much faster the end-to-end
     /// manager simulation is than the PR 4 `BTreeMap` tiling, with the
@@ -1257,12 +1354,18 @@ pub fn replay_hot(quick: bool) -> Result<(Table, ReplayHotReport)> {
             rows.push(row);
         }
     }
+    // Stride 40 samples 996 configurations; debug builds run every find's
+    // shadow oracle, so they sample ten times more sparsely.
+    let stride = if cfg!(debug_assertions) { 400 } else { 40 };
+    let (drr_name, drr_trace) = &traces[0];
+    let a1_strata = a1_strata(drr_name, drr_trace, stride)?;
     let mut report = ReplayHotReport {
         bench: "replay_hot".into(),
         quick,
         rows,
         exploration: exploration_pruning(quick)?,
         sweep: sweep_comparison(quick)?,
+        a1_strata,
         manager_bound_speedup_vs_pr4: 0.0,
         manager_bound_speedup_vs_pr5: 0.0,
     };
@@ -1500,6 +1603,18 @@ mod tests {
         }
         assert!(json.contains("\"sweep\""), "{json}");
         assert!(json.contains("sweep_wallclock_speedup"), "{json}");
+        // Every A1 leaf has a stratum, and the strata cover the sample.
+        let a1 = &report.a1_strata;
+        assert!(a1.workload.contains("DRR"), "{}", a1.workload);
+        assert_eq!(a1.rows.len(), 4);
+        let sampled = dmm_core::space::enumerate::SpaceIter::new()
+            .step_by(a1.stride)
+            .count();
+        assert_eq!(a1.rows.iter().map(|r| r.configs).sum::<usize>(), sampled);
+        for r in &a1.rows {
+            assert!(r.configs > 0 && r.replay_ms_mean > 0.0 && r.vs_nop > 0.0, "{r:?}");
+        }
+        assert!(json.contains("\"a1_strata\""), "{json}");
     }
 
     #[test]

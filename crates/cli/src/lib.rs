@@ -30,9 +30,10 @@
 //! so a killed sweep resumes with `--resume` (bit-identical winner);
 //! `--budget-steps=N`/`--budget-ms=N` bound each candidate replay.
 //!
-//! [`Invocation::parse`] rejects a malformed `--jobs` value and the
-//! removed `--batch` option with a [`UsageError`]; the `dmm` binary exits
-//! with status 2 on it.
+//! [`Invocation::parse`] rejects an unknown `--flag`, a malformed
+//! `--seed`, `--jobs`, `--shards`, `--budget-steps` or `--budget-ms` value
+//! and the removed `--batch` option with a [`UsageError`]; the `dmm`
+//! binary exits with status 2 on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,7 +71,8 @@ pub struct Invocation {
     /// value that is not a non-negative integer is a [`UsageError`].
     pub jobs: usize,
     /// `--shards=N` option: split the trace into N shards and explore
-    /// per shard, merging the designs (1 = whole-trace exploration).
+    /// per shard, merging the designs (1 = whole-trace exploration). A
+    /// value that is not a positive integer is a [`UsageError`].
     pub shards: usize,
     /// `--json` flag: machine-readable output (lint).
     pub json: bool,
@@ -94,12 +96,10 @@ pub struct Invocation {
     /// `--recover` flag: salvage the valid prefix of a damaged
     /// `--trace` file instead of failing on the first defect.
     pub recover: bool,
-    /// `--budget-steps=N`: per-candidate replay budget in search steps
-    /// (malformed values read as 0 and trip immediately — loud, not
-    /// silently unlimited).
+    /// `--budget-steps=N`: per-candidate replay budget in search steps.
     pub budget_steps: Option<u64>,
     /// `--budget-ms=N`: per-candidate replay budget in wall-clock
-    /// milliseconds (malformed values read as 0).
+    /// milliseconds.
     pub budget_ms: Option<u64>,
 }
 
@@ -115,6 +115,11 @@ pub enum UsageError {
         value: String,
         /// What a valid value looks like.
         expected: &'static str,
+    },
+    /// An option `dmm` does not know.
+    Unknown {
+        /// The argument as given, e.g. `--jbos=4`.
+        arg: String,
     },
     /// An option that no longer exists.
     Removed {
@@ -133,6 +138,7 @@ impl std::fmt::Display for UsageError {
                 value,
                 expected,
             } => write!(f, "{flag}={value}: expected {expected}"),
+            UsageError::Unknown { arg } => write!(f, "unknown option {arg} (try 'dmm help')"),
             UsageError::Removed { flag, reason } => write!(f, "{flag} was removed: {reason}"),
         }
     }
@@ -145,8 +151,11 @@ impl Invocation {
     ///
     /// # Errors
     ///
-    /// [`UsageError::Malformed`] for a `--jobs` value that is not a
-    /// non-negative integer, [`UsageError::Removed`] for `--batch`.
+    /// [`UsageError::Malformed`] for a `--seed`, `--jobs`, `--shards`,
+    /// `--budget-steps` or `--budget-ms` value that does not parse (or a
+    /// zero shard count), [`UsageError::Unknown`] for any other `--`
+    /// argument the parser does not know, [`UsageError::Removed`] for
+    /// `--batch`.
     pub fn parse(args: &[String]) -> std::result::Result<Invocation, UsageError> {
         let mut command = String::from("help");
         let mut positional = Vec::new();
@@ -202,28 +211,24 @@ impl Invocation {
             } else if let Some(s) = a.strip_prefix("--checkpoint=") {
                 checkpoint = Some(s.to_string());
             } else if let Some(s) = a.strip_prefix("--budget-steps=") {
-                // A malformed budget trips immediately (0) rather than
-                // silently running unlimited.
-                budget_steps = Some(s.parse().unwrap_or(0));
+                budget_steps = Some(number("--budget-steps", s, "a step count")?);
             } else if let Some(s) = a.strip_prefix("--budget-ms=") {
-                budget_ms = Some(s.parse().unwrap_or(0));
+                budget_ms = Some(number("--budget-ms", s, "a millisecond count")?);
             } else if let Some(s) = a.strip_prefix("--seed=") {
-                seed = s.parse().unwrap_or(0);
+                seed = number("--seed", s, "an unsigned integer")?;
             } else if let Some(s) = a.strip_prefix("--jobs=") {
-                jobs = s.parse().map_err(|_| UsageError::Malformed {
-                    flag: "--jobs",
-                    value: s.to_string(),
-                    expected: "a worker-thread count (0 = all cores)",
-                })?;
+                jobs = number("--jobs", s, "a worker-thread count (0 = all cores)")?;
             } else if let Some(s) = a.strip_prefix("--shards=") {
-                // Malformed or zero means unsharded.
-                shards = s.parse().unwrap_or(1).max(1);
+                shards = number::<std::num::NonZeroUsize>("--shards", s, "a shard count of at least 1")?
+                    .get();
             } else if a == "--batch" || a.starts_with("--batch=") {
                 return Err(UsageError::Removed {
                     flag: "--batch",
                     reason: "the fused batch kernel is gone; exhaustive sweeps speculate \
                              replays on --jobs workers instead",
                 });
+            } else if a.starts_with("--") {
+                return Err(UsageError::Unknown { arg: a.clone() });
             } else if !seen_command {
                 command = a.clone();
                 seen_command = true;
@@ -259,6 +264,19 @@ impl Invocation {
             budget_ms,
         })
     }
+}
+
+/// Parse the value of a numeric option, or name the option it broke.
+fn number<T: std::str::FromStr>(
+    flag: &'static str,
+    value: &str,
+    expected: &'static str,
+) -> std::result::Result<T, UsageError> {
+    value.parse().map_err(|_| UsageError::Malformed {
+        flag,
+        value: value.to_string(),
+        expected,
+    })
 }
 
 fn workload(inv: &Invocation) -> Result<Box<dyn Workload>> {
@@ -447,7 +465,8 @@ pub fn help_text() -> String {
      --budget-steps=N / --budget-ms=N bound each candidate replay; a\n\
      tripped budget aborts that candidate, not the sweep\n\
      \n\
-     A malformed --jobs value exits with status 2, as does the removed\n\
+     An unknown option, a malformed --seed, --jobs, --shards or --budget-*\n\
+     value (or --shards=0) exits with status 2, as does the removed\n\
      --batch option.\n"
         .to_string()
 }
@@ -1073,12 +1092,39 @@ mod tests {
         assert_eq!(i.shards, 8);
         assert_eq!(inv(&["explore"]).jobs, 0, "jobs defaults to all cores");
         assert_eq!(inv(&["explore"]).shards, 1, "shards defaults to unsharded");
-        assert_eq!(
-            inv(&["explore", "--shards=oops"]).shards,
-            1,
-            "malformed shard count falls back to unsharded"
-        );
-        assert_eq!(inv(&["explore", "--shards=0"]).shards, 1);
+        assert_eq!(inv(&["explore"]).seed, 0, "seed defaults to 0");
+    }
+
+    #[test]
+    fn malformed_numbers_and_unknown_flags_are_usage_errors() {
+        let cases = [
+            ("--seed", "oops"),
+            ("--seed", "-1"),
+            ("--seed", ""),
+            ("--shards", "oops"),
+            ("--shards", "0"),
+            ("--shards", "-2"),
+            ("--budget-steps", "oops"),
+            ("--budget-steps", "1e3"),
+            ("--budget-ms", "oops"),
+            ("--budget-ms", ""),
+        ];
+        for (flag, bad) in cases {
+            let arg = format!("{flag}={bad}");
+            match parse(&["explore", "drr", &arg]) {
+                Err(UsageError::Malformed { flag: f, value, .. }) => {
+                    assert_eq!((f, value.as_str()), (flag, bad), "{arg}");
+                }
+                other => panic!("{arg} must be a usage error, got {other:?}"),
+            }
+        }
+        for arg in ["--jbos=4", "--fulll", "--seed", "--shards", "--", "--help"] {
+            let err = parse(&["explore", "drr", arg]).unwrap_err();
+            assert_eq!(err, UsageError::Unknown { arg: arg.to_string() });
+            assert!(err.to_string().contains(arg), "{err}");
+        }
+        // Single-dash arguments stay positionals for the subcommand.
+        assert_eq!(inv(&["lint", "-"]).positional, vec!["-"]);
     }
 
     #[test]
@@ -1355,10 +1401,9 @@ mod tests {
         assert!(d.trace.is_none() && d.checkpoint.is_none());
         assert!(!d.resume && !d.recover);
         assert_eq!(d.budget_steps, None);
-        assert_eq!(
-            inv(&["explore", "--budget-steps=oops"]).budget_steps,
-            Some(0),
-            "malformed budget trips immediately, never silently unlimited"
+        assert!(
+            parse(&["explore", "--budget-steps=oops"]).is_err(),
+            "a malformed budget is a usage error, never silently unlimited"
         );
         assert_eq!(inv(&["record", "drr", "--out=x.dmmt"]).out.as_deref(), Some("x.dmmt"));
     }

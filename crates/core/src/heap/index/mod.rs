@@ -17,14 +17,19 @@
 //! always has in hand) — there are **no** offset→node side lookups left in
 //! any index.
 //!
-//! The simulated cost model is unchanged and bit-identical to the faithful
-//! node-by-node walks, but since the order-statistic layer ([`rank`]) *no
-//! charge is walked at all*: each index mirrors its walk order into a
-//! rank/select tree, so hit distances, early-stop miss charges, and
-//! singly-linked unlink positions are each one O(log) rank query. The
-//! faithful walks stay compiled in as debug shadow oracles — every find
+//! The simulated cost model is bit-identical to the faithful node-by-node
+//! walks in every index, but no index walks node by node on long lists:
+//!
+//! - the linked slabs mirror their link order into a rank/select tree
+//!   ([`rank`]), so hit distances, early-stop miss charges and
+//!   singly-linked unlink positions are each one O(log) rank query;
+//! - the address-ordered list is a blocked sorted array whose walk passes
+//!   a whole chunk in one step when the chunk's longest span cannot fit,
+//!   charging the chunk's entry count — the walk itself is the index.
+//!
+//! The naive walks stay compiled in as debug shadow oracles — every find
 //! asserts the computed answer and charge against them in debug builds,
-//! and [`FreeIndex::check_oracle`] revalidates the replicas structurally
+//! and [`FreeIndex::check_oracle`] revalidates each index's invariants
 //! per replay event.
 
 mod linked;
@@ -84,10 +89,10 @@ pub trait FreeIndex: std::fmt::Debug {
     /// Static control-structure bytes this index costs on the target.
     fn control_overhead_bytes(&self) -> usize;
 
-    /// Validate any rank/select replica against the walked structure it
-    /// mirrors (debug replays call this per event). Indexes whose charges
-    /// are computed directly from their primary structure have nothing to
-    /// cross-check and keep the default.
+    /// Validate the index's acceleration structures — a rank/select
+    /// replica against the list it mirrors, or chunk counts and maxima
+    /// (debug replays call this per event). Indexes without any keep the
+    /// default.
     fn check_oracle(&self) -> Result<(), String> {
         Ok(())
     }

@@ -8,31 +8,36 @@
 //! searchers at it.
 //!
 //! Both indexes key directly on the span the caller hands to
-//! [`FreeIndex::remove`] — the offset→length side lookup the size tree
-//! used to carry is gone — and both store the [`BlockRef`] of the backing
-//! tiling block as their value, so a hit resolves to the block in O(1).
+//! [`FreeIndex::remove`] and store the [`BlockRef`] of the backing tiling
+//! block next to it, so a hit resolves to the block in O(1).
 //!
-//! # Rank-computed walk charges
+//! # The address-ordered list as a blocked sorted array
 //!
 //! [`AddrIndex`] models a linear list: its charges are walk distances in
-//! address order. Those distances are *computed*, not walked — the index
-//! mirrors its membership into an order-statistic tree
-//! ([`PosTree`], key = offset, weight = length) plus a `(len, offset)` set,
-//! so every fit resolves as one O(log) select + rank query, bit-identical
-//! to the faithful scan of `by_offset` which stays compiled in as the
-//! debug shadow oracle ([`walk_find`]); the replica is revalidated
-//! structurally per replay event through [`FreeIndex::check_oracle`]. The
-//! rank structures are simulator-side acceleration, not part of the
-//! modelled manager — they cost nothing in `control_overhead_bytes`.
+//! address order. It stores its entries in exactly that order, as one
+//! sorted array cut into chunks of at most [`CHUNK_MAX`] entries, and each
+//! chunk records its largest span length. A find *is* the faithful walk: a
+//! chunk whose maximum cannot satisfy the fit is passed in one step and
+//! charged its entry count, any other chunk is scanned entry by entry. So
+//! every charge equals the node-by-node scan by construction, and there is
+//! no replica to keep in step. Inserts and removes binary-search the chunk
+//! and shift entries within it; a chunk that outgrows [`CHUNK_MAX`] splits
+//! in half, and a chunk that empties is dropped.
+//!
+//! The naive scan ([`walk_find`]) stays compiled in as the debug shadow
+//! oracle: debug builds assert every find's winner and charge against it,
+//! and [`FreeIndex::check_oracle`] validates the chunk invariants per
+//! replay event. Chunking and the chunk maxima are simulator-side
+//! acceleration, not part of the modelled manager — they cost nothing in
+//! `control_overhead_bytes`.
 //!
 //! [`SizeTreeIndex`] needs none of this: its `(len, offset)` tree *is* the
 //! modelled structure, and its logarithmic charge (`log_cost`, the subtree
 //! descent depth) is already computed from the tree size in one add.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::heap::block::Span;
-use crate::heap::index::rank::PosTree;
 use crate::heap::index::{Found, FreeIndex};
 use crate::heap::tiling::BlockRef;
 use crate::space::trees::FitAlgorithm;
@@ -41,21 +46,57 @@ use crate::units::POINTER_BYTES;
 /// Ordered indexes need no unlink token — removal keys on the span.
 const NO_TOKEN: usize = 0;
 
+/// Entries a chunk of [`AddrIndex`] may hold; one more splits it in half.
+const CHUNK_MAX: usize = 256;
+
 fn log_cost(n: usize) -> u64 {
     (usize::BITS - n.max(1).leading_zeros()) as u64
 }
 
-/// Free list kept sorted by block address.
+/// One run of [`AddrIndex`]'s address-ordered array.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Free spans in ascending offset order, with their backing blocks.
+    /// Never empty.
+    entries: Vec<(Span, BlockRef)>,
+    /// The largest span length in `entries`.
+    max_len: usize,
+}
+
+impl Chunk {
+    fn new(entries: Vec<(Span, BlockRef)>) -> Chunk {
+        let mut chunk = Chunk {
+            entries,
+            max_len: 0,
+        };
+        chunk.recompute_max();
+        chunk
+    }
+
+    fn recompute_max(&mut self) {
+        self.max_len = self.entries.iter().map(|(s, _)| s.len).max().unwrap_or(0);
+    }
+
+    /// Position of the first entry at or above `offset`.
+    fn lower_bound(&self, offset: usize) -> usize {
+        self.entries.partition_point(|(s, _)| s.offset < offset)
+    }
+}
+
+/// A position in the walk: `(chunk, entry within the chunk)`. The end of
+/// the walk is `(chunks.len(), 0)`.
+type Pos = (usize, usize);
+
+/// Free list kept sorted by block address (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct AddrIndex {
-    by_offset: BTreeMap<usize, (usize, BlockRef)>,
+    /// Non-empty chunks in address order.
+    chunks: Vec<Chunk>,
+    /// Total entries over all chunks.
+    len: usize,
+    /// Next-fit roving pointer: the walk resumes at the first offset at or
+    /// above it.
     cursor: Option<usize>,
-    /// Order-statistic replica: key = offset, weight = length. Ascending
-    /// key order is exactly the walk order of `by_offset`.
-    pos: PosTree,
-    /// Live `(len, offset)` pairs: the winner resolver for the fits whose
-    /// walk ends on "the lowest-addressed block of size S".
-    by_len: BTreeSet<(usize, usize)>,
 }
 
 impl AddrIndex {
@@ -64,209 +105,243 @@ impl AddrIndex {
         AddrIndex::default()
     }
 
-    /// Rank-computed fit resolution: `(winner (offset, len, block), charge)`,
-    /// bit-identical to [`walk_find`]. Does not move the cursor.
-    fn fast_find(&self, fit: FitAlgorithm, len: usize) -> (Option<(usize, usize)>, u64) {
-        let total = self.by_offset.len() as u64;
-        match fit {
-            FitAlgorithm::FirstFit => match self.pos.first_at_least(len) {
-                Some((key, _)) => (Some((key as usize, len)), self.pos.rank(key)),
-                None => (None, total),
-            },
-            FitAlgorithm::NextFit => {
-                // Pass 1 covers offsets >= the parked cursor; the wrap pass
-                // re-scans everything below it.
-                let start = self.cursor.unwrap_or(0) as u64;
-                let below = self.pos.count_below(start);
-                if let Some((key, _)) = self.pos.first_at_least_from(start, len) {
-                    (Some((key as usize, len)), self.pos.rank(key) - below)
-                } else if let Some((key, _)) = self.pos.first_at_least_below(start, len) {
-                    (Some((key as usize, len)), (total - below) + self.pos.rank(key))
-                } else {
-                    (None, total)
-                }
-            }
-            FitAlgorithm::BestFit => {
-                // With an exact-size block present the faithful walk stops
-                // at the lowest-addressed one (cannot do better).
-                if let Some(&(_, o)) = self.by_len.range((len, 0)..=(len, usize::MAX)).next() {
-                    return (Some((o, len)), self.pos.rank(o as u64));
-                }
-                // Otherwise it scans everything; the winner is the
-                // lowest-addressed block of the smallest fitting size.
-                let winner = self.by_len.range((len, 0)..).next().map(|&(l, o)| (o, l));
-                (winner, total)
-            }
-            FitAlgorithm::WorstFit => {
-                // Always a full scan; the winner is the lowest-addressed
-                // block of the largest size, if that size fits.
-                let winner = self
-                    .by_len
-                    .iter()
-                    .next_back()
-                    .filter(|&&(l, _)| l >= len)
-                    .and_then(|&(l, _)| self.by_len.range((l, 0)..).next())
-                    .map(|&(l, o)| (o, l));
-                (winner, total)
-            }
-            FitAlgorithm::ExactFit => {
-                match self.by_len.range((len, 0)..=(len, usize::MAX)).next() {
-                    Some(&(_, o)) => (Some((o, len)), self.pos.rank(o as u64)),
-                    None => (None, total),
-                }
-            }
+    /// The chunk an entry at `offset` belongs in: the last chunk starting
+    /// at or below it, else the first chunk. Needs a chunk to exist.
+    fn chunk_for(&self, offset: usize) -> usize {
+        self.chunks
+            .partition_point(|c| c.entries[0].0.offset <= offset)
+            .saturating_sub(1)
+    }
+
+    /// The walk position of the first entry at or above `offset`.
+    fn seek(&self, offset: usize) -> Pos {
+        let ci = self
+            .chunks
+            .partition_point(|c| c.entries[c.entries.len() - 1].0.offset < offset);
+        match self.chunks.get(ci) {
+            Some(chunk) => (ci, chunk.lower_bound(offset)),
+            None => (ci, 0),
         }
     }
 
-    /// Resolve a `fast_find` winner to a [`Found`].
-    fn found_at(&self, offset: usize) -> Found {
-        let &(len, block) = self
-            .by_offset
-            .get(&offset)
-            .expect("rank replica named an absent offset");
-        Found {
-            span: Span::new(offset, len),
-            block,
-            token: NO_TOKEN,
+    fn end(&self) -> Pos {
+        (self.chunks.len(), 0)
+    }
+
+    /// Walk `[from, to)` in address order to the first entry whose length
+    /// is `len` (`exact`) or at least `len`, charging one step per entry
+    /// visited. A chunk whose maximum is below `len` holds no such entry
+    /// and is passed in one step for its whole count.
+    fn walk(&self, from: Pos, to: Pos, len: usize, exact: bool, steps: &mut u64) -> Option<Pos> {
+        let (mut ci, mut k) = from;
+        while (ci, k) < to {
+            let chunk = &self.chunks[ci];
+            let stop = if ci == to.0 { to.1 } else { chunk.entries.len() };
+            if chunk.max_len >= len {
+                let hit = chunk.entries[k..stop]
+                    .iter()
+                    .position(|(s, _)| s.len == len || (!exact && s.len > len));
+                if let Some(j) = hit {
+                    *steps += j as u64 + 1;
+                    return Some((ci, k + j));
+                }
+            }
+            *steps += (stop - k) as u64;
+            ci += 1;
+            k = 0;
         }
+        None
+    }
+
+    /// The faithful best-fit walk: it stops at the first exact-size entry;
+    /// otherwise it visits every entry and keeps the lowest-addressed
+    /// entry of the smallest fitting length.
+    fn best_fit(&self, len: usize, steps: &mut u64) -> Option<Pos> {
+        let mut best: Option<(Pos, usize)> = None;
+        for (ci, chunk) in self.chunks.iter().enumerate() {
+            if chunk.max_len >= len {
+                for (k, (s, _)) in chunk.entries.iter().enumerate() {
+                    if s.len >= len && best.is_none_or(|(_, b)| s.len < b) {
+                        if s.len == len {
+                            *steps += k as u64 + 1;
+                            return Some((ci, k));
+                        }
+                        best = Some(((ci, k), s.len));
+                    }
+                }
+            }
+            *steps += chunk.entries.len() as u64;
+        }
+        best.map(|(pos, _)| pos)
+    }
+
+    /// The faithful worst-fit walk visits every entry and keeps the
+    /// lowest-addressed entry of the largest length: the first entry of
+    /// that length in the first chunk whose maximum equals it.
+    fn worst_fit(&self, len: usize, steps: &mut u64) -> Option<Pos> {
+        *steps += self.len as u64;
+        let max = self.chunks.iter().map(|c| c.max_len).max().filter(|&m| m >= len)?;
+        let ci = self.chunks.iter().position(|c| c.max_len == max)?;
+        let k = self.chunks[ci].entries.iter().position(|(s, _)| s.len == max)?;
+        Some((ci, k))
+    }
+
+    /// Every entry's span in address order.
+    fn iter_spans(&self) -> impl Iterator<Item = Span> + '_ {
+        self.chunks.iter().flat_map(|c| c.entries.iter().map(|(s, _)| *s))
     }
 }
 
-/// The faithful address-order scan — the shadow oracle for
-/// [`AddrIndex::fast_find`]. This is the modelled cost of the A1 leaf.
-/// Stays compiled in release builds even though only debug builds call it.
+/// The faithful address-order scan over `walk` (sorted by offset) — the
+/// shadow oracle for [`AddrIndex::find`]: `(winner offset, charge)`. This
+/// is the modelled cost of the A1 leaf. Stays compiled in release builds
+/// even though only debug builds call it.
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
 fn walk_find(
-    by_offset: &BTreeMap<usize, (usize, BlockRef)>,
+    walk: &[Span],
     cursor: Option<usize>,
     fit: FitAlgorithm,
     len: usize,
 ) -> (Option<usize>, u64) {
-    let mut steps = 0u64;
-    match fit {
-        FitAlgorithm::FirstFit => {
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 >= len {
-                    return (Some(o), steps);
-                }
-            }
-            (None, steps)
+    let total = walk.len() as u64;
+    let first = |order: &mut dyn Iterator<Item = &Span>, fits: &dyn Fn(usize) -> bool| {
+        match order.enumerate().find(|(_, s)| fits(s.len)) {
+            Some((i, s)) => (Some(s.offset), i as u64 + 1),
+            None => (None, total),
         }
+    };
+    match fit {
+        FitAlgorithm::FirstFit => first(&mut walk.iter(), &|l| l >= len),
+        FitAlgorithm::ExactFit => first(&mut walk.iter(), &|l| l == len),
         FitAlgorithm::NextFit => {
-            let start = cursor.unwrap_or(0);
-            let found = by_offset
-                .range(start..)
-                .map(|(o, v)| {
-                    steps += 1;
-                    (*o, *v)
-                })
-                .find(|&(_, (l, _))| l >= len)
-                .or_else(|| {
-                    by_offset
-                        .range(..start)
-                        .map(|(o, v)| {
-                            steps += 1;
-                            (*o, *v)
-                        })
-                        .find(|&(_, (l, _))| l >= len)
-                });
-            (found.map(|(o, _)| o), steps)
+            let at = walk.partition_point(|s| s.offset < cursor.unwrap_or(0));
+            first(&mut walk[at..].iter().chain(&walk[..at]), &|l| l >= len)
         }
         FitAlgorithm::BestFit => {
-            let mut best: Option<(usize, usize)> = None;
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 >= len && best.is_none_or(|(_, bl)| v.0 < bl) {
-                    best = Some((o, v.0));
-                    if v.0 == len {
-                        break;
+            let mut best: Option<&Span> = None;
+            for (i, s) in walk.iter().enumerate() {
+                if s.len >= len && best.is_none_or(|b| s.len < b.len) {
+                    if s.len == len {
+                        return (Some(s.offset), i as u64 + 1);
                     }
+                    best = Some(s);
                 }
             }
-            (best.map(|(o, _)| o), steps)
+            (best.map(|b| b.offset), total)
         }
         FitAlgorithm::WorstFit => {
-            let mut worst: Option<(usize, usize)> = None;
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 >= len && worst.is_none_or(|(_, wl)| v.0 > wl) {
-                    worst = Some((o, v.0));
+            let mut worst: Option<&Span> = None;
+            for s in walk {
+                if s.len >= len && worst.is_none_or(|w| s.len > w.len) {
+                    worst = Some(s);
                 }
             }
-            (worst.map(|(o, _)| o), steps)
-        }
-        FitAlgorithm::ExactFit => {
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 == len {
-                    return (Some(o), steps);
-                }
-            }
-            (None, steps)
+            (worst.map(|w| w.offset), total)
         }
     }
 }
 
 impl FreeIndex for AddrIndex {
     fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
-        *steps += log_cost(self.by_offset.len());
-        let dup = self.by_offset.insert(span.offset, (span.len, block));
-        debug_assert!(dup.is_none(), "duplicate span at {}", span.offset);
-        self.pos.insert(span.offset as u64, span.len, 0);
-        self.by_len.insert((span.len, span.offset));
+        *steps += log_cost(self.len);
+        self.len += 1;
+        if self.chunks.is_empty() {
+            self.chunks.push(Chunk::new(vec![(span, block)]));
+            return NO_TOKEN;
+        }
+        let ci = self.chunk_for(span.offset);
+        let chunk = &mut self.chunks[ci];
+        let at = chunk.lower_bound(span.offset);
+        debug_assert!(
+            chunk.entries.get(at).is_none_or(|(s, _)| s.offset != span.offset),
+            "duplicate span at {}",
+            span.offset
+        );
+        chunk.entries.insert(at, (span, block));
+        chunk.max_len = chunk.max_len.max(span.len);
+        if chunk.entries.len() > CHUNK_MAX {
+            let tail = chunk.entries.split_off(CHUNK_MAX / 2);
+            chunk.recompute_max();
+            self.chunks.insert(ci + 1, Chunk::new(tail));
+        }
         NO_TOKEN
     }
 
     fn remove(&mut self, _token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
-        *steps += log_cost(self.by_offset.len());
-        let (len, block) = self.by_offset.remove(&span.offset)?;
-        debug_assert_eq!(len, span.len, "span length disagrees with the index");
-        let present = self.pos.remove(span.offset as u64);
-        debug_assert!(present, "rank replica missed offset {}", span.offset);
-        let mapped = self.by_len.remove(&(len, span.offset));
-        debug_assert!(mapped, "length set missed ({len}, {})", span.offset);
+        *steps += log_cost(self.len);
+        if self.chunks.is_empty() {
+            return None;
+        }
+        let ci = self.chunk_for(span.offset);
+        let chunk = &mut self.chunks[ci];
+        let at = chunk.lower_bound(span.offset);
+        if chunk.entries.get(at).is_none_or(|(s, _)| s.offset != span.offset) {
+            return None;
+        }
+        let (removed, block) = chunk.entries.remove(at);
+        debug_assert_eq!(removed.len, span.len, "span length disagrees with the index");
+        if chunk.entries.is_empty() {
+            self.chunks.remove(ci);
+        } else if removed.len == chunk.max_len {
+            chunk.recompute_max();
+        }
+        self.len -= 1;
         if self.cursor == Some(span.offset) {
-            self.cursor = self.by_offset.range(span.offset..).next().map(|(o, _)| *o);
+            let (ci, k) = self.seek(span.offset);
+            self.cursor = self.chunks.get(ci).map(|c| c.entries[k].0.offset);
         }
         Some(block)
     }
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
-        let (winner, charged) = self.fast_find(fit, len);
+        let mut charged = 0u64;
+        let hit = match fit {
+            FitAlgorithm::FirstFit => self.walk((0, 0), self.end(), len, false, &mut charged),
+            FitAlgorithm::ExactFit => self.walk((0, 0), self.end(), len, true, &mut charged),
+            FitAlgorithm::NextFit => {
+                // From the parked cursor to the end, then wrap to it.
+                let start = self.seek(self.cursor.unwrap_or(0));
+                self.walk(start, self.end(), len, false, &mut charged)
+                    .or_else(|| self.walk((0, 0), start, len, false, &mut charged))
+            }
+            FitAlgorithm::BestFit => self.best_fit(len, &mut charged),
+            FitAlgorithm::WorstFit => self.worst_fit(len, &mut charged),
+        };
         #[cfg(debug_assertions)]
         {
-            let (walk_winner, walk_steps) = walk_find(&self.by_offset, self.cursor, fit, len);
+            let walk: Vec<Span> = self.iter_spans().collect();
+            let winner = hit.map(|(ci, k)| self.chunks[ci].entries[k].0.offset);
             debug_assert_eq!(
-                (winner.map(|(o, _)| o), charged),
-                (walk_winner, walk_steps),
-                "rank-computed {fit:?} find for {len} diverged from the faithful scan"
+                (winner, charged),
+                walk_find(&walk, self.cursor, fit, len),
+                "blocked {fit:?} find for {len} diverged from the faithful scan"
             );
         }
         *steps += charged;
-        let (offset, _) = winner?;
+        let (ci, k) = hit?;
+        let (span, block) = self.chunks[ci].entries[k];
         if fit == FitAlgorithm::NextFit {
-            self.cursor = Some(offset + 1);
+            self.cursor = Some(span.offset + 1);
         }
-        Some(self.found_at(offset))
+        Some(Found {
+            span,
+            block,
+            token: NO_TOKEN,
+        })
     }
 
     fn len(&self) -> usize {
-        self.by_offset.len()
+        self.len
     }
 
     fn spans(&self) -> Vec<Span> {
-        self.by_offset
-            .iter()
-            .map(|(&o, &(l, _))| Span::new(o, l))
-            .collect()
+        self.iter_spans().collect()
     }
 
     fn clear(&mut self) {
-        self.by_offset.clear();
+        self.chunks.clear();
+        self.len = 0;
         self.cursor = None;
-        self.pos.clear();
-        self.by_len.clear();
     }
 
     fn control_overhead_bytes(&self) -> usize {
@@ -274,28 +349,30 @@ impl FreeIndex for AddrIndex {
     }
 
     fn check_oracle(&self) -> Result<(), String> {
-        let mut ranked = Vec::with_capacity(self.by_offset.len());
-        self.pos.for_each_in_order(|k, w, _| ranked.push((k as usize, w)));
-        let walked: Vec<(usize, usize)> =
-            self.by_offset.iter().map(|(&o, &(l, _))| (o, l)).collect();
-        if ranked != walked {
-            return Err(format!(
-                "rank replica diverged from address order: {} tree entries vs {} list entries",
-                ranked.len(),
-                walked.len()
-            ));
-        }
-        if self.by_len.len() != self.by_offset.len() {
-            return Err(format!(
-                "length set has {} entries for {} blocks",
-                self.by_len.len(),
-                self.by_offset.len()
-            ));
-        }
-        for &(o, l) in &walked {
-            if !self.by_len.contains(&(l, o)) {
-                return Err(format!("length set missing ({l}, {o})"));
+        let mut prev: Option<usize> = None;
+        let mut total = 0;
+        for (ci, chunk) in self.chunks.iter().enumerate() {
+            let n = chunk.entries.len();
+            if n == 0 || n > CHUNK_MAX {
+                return Err(format!("chunk {ci} holds {n} entries (allowed 1..={CHUNK_MAX})"));
             }
+            for (s, _) in &chunk.entries {
+                if prev.is_some_and(|p| p >= s.offset) {
+                    return Err(format!("chunk {ci}: offset {} out of address order", s.offset));
+                }
+                prev = Some(s.offset);
+            }
+            let max = chunk.entries.iter().map(|(s, _)| s.len).max().unwrap_or(0);
+            if max != chunk.max_len {
+                return Err(format!(
+                    "chunk {ci} records max length {} but holds {max}",
+                    chunk.max_len
+                ));
+            }
+            total += n;
+        }
+        if total != self.len {
+            return Err(format!("chunks hold {total} entries, index counts {}", self.len));
         }
         Ok(())
     }
@@ -671,5 +748,159 @@ mod tests {
         assert_eq!(idx.remove(NO_TOKEN, Span::new(64, 96), &mut s), Some(bref(64)));
         assert_eq!(idx.remove(NO_TOKEN, Span::new(64, 96), &mut s), None);
         assert_eq!(idx.len(), 0);
+    }
+
+    /// Naive model of the address-ordered list: a `BTreeMap` walked node
+    /// by node, with the same next-fit cursor rules.
+    #[derive(Default)]
+    struct WalkModel {
+        map: BTreeMap<usize, usize>,
+        cursor: Option<usize>,
+    }
+
+    impl WalkModel {
+        fn find(&mut self, fit: FitAlgorithm, len: usize) -> (Option<Span>, u64) {
+            let start = self.cursor.unwrap_or(0);
+            let order: Vec<(usize, usize)> = match fit {
+                FitAlgorithm::NextFit => self.map.range(start..).chain(self.map.range(..start)),
+                _ => self.map.range(0..).chain(self.map.range(..0)),
+            }
+            .map(|(&o, &l)| (o, l))
+            .collect();
+            let mut steps = 0u64;
+            let mut pick: Option<(usize, usize)> = None;
+            for (o, l) in order {
+                steps += 1;
+                let better = match fit {
+                    FitAlgorithm::FirstFit | FitAlgorithm::NextFit => l >= len,
+                    FitAlgorithm::ExactFit => l == len,
+                    FitAlgorithm::BestFit => l >= len && pick.is_none_or(|(_, p)| l < p),
+                    FitAlgorithm::WorstFit => l >= len && pick.is_none_or(|(_, p)| l > p),
+                };
+                if better {
+                    pick = Some((o, l));
+                    let stops = match fit {
+                        FitAlgorithm::BestFit => l == len,
+                        FitAlgorithm::WorstFit => false,
+                        _ => true,
+                    };
+                    if stops {
+                        break;
+                    }
+                }
+            }
+            if let (FitAlgorithm::NextFit, Some((o, _))) = (fit, pick) {
+                self.cursor = Some(o + 1);
+            }
+            (pick.map(|(o, l)| Span::new(o, l)), steps)
+        }
+
+        fn remove(&mut self, offset: usize) {
+            self.map.remove(&offset);
+            if self.cursor == Some(offset) {
+                self.cursor = self.map.range(offset..).next().map(|(&o, _)| o);
+            }
+        }
+    }
+
+    /// Model test of the blocked array: two grow-to-2,000-then-drain
+    /// cycles, so chunks split and empty many times, with inserts at the
+    /// next-fit cursor, removes of the cursor block and removes of a
+    /// chunk's longest entry mixed in. Every fit's winner and charge, the
+    /// length and the cursor must match the naive model throughout.
+    #[test]
+    fn addr_index_matches_btreemap_model_across_chunk_splits() {
+        let mut idx = AddrIndex::new();
+        let mut model = WalkModel::default();
+        let mut x: u64 = 0x5EED_B10C_4ED5_0F0F;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut splits, mut drops, mut peak) = (0usize, 0usize, 0usize);
+        let mut s = 0u64;
+        for cycle in 0..2 {
+            let mut growing = true;
+            let mut op = 0usize;
+            while growing || !model.map.is_empty() {
+                op += 1;
+                let r = rand();
+                let chunks_before = idx.chunks.len();
+                let mut special = true;
+                match (r % 32, model.cursor) {
+                    // The cursor block goes, or a block lands on the cursor.
+                    (0, Some(c)) if model.map.contains_key(&c) => {
+                        let len = model.map[&c];
+                        idx.remove(NO_TOKEN, Span::new(c, len), &mut s).unwrap();
+                        model.remove(c);
+                    }
+                    (0, Some(c)) => {
+                        let span = Span::new(c, 8 + (r >> 20) as usize % 64 * 8);
+                        idx.insert(span, bref(c), &mut s);
+                        model.map.insert(c, span.len);
+                    }
+                    // A chunk loses its longest entry.
+                    (1, _) if !idx.chunks.is_empty() => {
+                        let chunk = &idx.chunks[(r >> 8) as usize % idx.chunks.len()];
+                        let &(span, _) = chunk
+                            .entries
+                            .iter()
+                            .find(|(sp, _)| sp.len == chunk.max_len)
+                            .unwrap();
+                        idx.remove(NO_TOKEN, span, &mut s).unwrap();
+                        model.remove(span.offset);
+                    }
+                    _ => {
+                        special = false;
+                        let insert = if growing { r % 5 != 0 } else { r % 5 == 0 };
+                        if insert || model.map.is_empty() {
+                            let offset = (r >> 16) as usize % (1 << 16) * 16;
+                            if let std::collections::btree_map::Entry::Vacant(v) =
+                                model.map.entry(offset)
+                            {
+                                let span = Span::new(offset, 8 + (r >> 40) as usize % 64 * 8);
+                                v.insert(span.len);
+                                idx.insert(span, bref(offset), &mut s);
+                            }
+                        } else {
+                            let i = (r >> 24) as usize % model.map.len();
+                            let (&o, &l) = model.map.iter().nth(i).unwrap();
+                            assert_eq!(idx.remove(NO_TOKEN, Span::new(o, l), &mut s), Some(bref(o)));
+                            model.remove(o);
+                        }
+                    }
+                }
+                match idx.chunks.len().cmp(&chunks_before) {
+                    std::cmp::Ordering::Greater => splits += 1,
+                    std::cmp::Ordering::Less => drops += 1,
+                    std::cmp::Ordering::Equal => {}
+                }
+                peak = peak.max(model.map.len());
+                if model.map.len() >= 2_000 {
+                    growing = false;
+                }
+                assert_eq!(idx.len(), model.map.len(), "cycle {cycle} op {op}: len");
+                assert_eq!(idx.cursor, model.cursor, "cycle {cycle} op {op}: cursor");
+                if !special && !op.is_multiple_of(16) {
+                    continue;
+                }
+                idx.check_oracle().unwrap();
+                let some_len = model.map.values().nth(op % model.map.len().max(1)).copied();
+                for fit in FitAlgorithm::ALL {
+                    for len in [8, 264, 520].into_iter().chain(some_len) {
+                        let mut got_steps = 0u64;
+                        let got = idx.find(fit, len, &mut got_steps).map(|f| f.span);
+                        let want = model.find(fit, len);
+                        assert_eq!((got, got_steps), want, "cycle {cycle} op {op}: {fit:?}/{len}");
+                        assert_eq!(idx.cursor, model.cursor, "cycle {cycle} op {op}: {fit:?}");
+                    }
+                }
+            }
+            assert!(idx.chunks.is_empty(), "a drained index keeps no chunk");
+        }
+        assert!(peak >= 2_000, "peak {peak}");
+        assert!(splits >= 10 && drops >= 10, "{splits} splits, {drops} drops");
     }
 }

@@ -598,15 +598,15 @@ proptest! {
     /// free-list indexes: managers spanning every A1 block structure
     /// (singly/doubly linked list, address-ordered list, size-ordered
     /// tree) crossed with every fit algorithm replay flat **and** phased
-    /// traces through both kernels. Every find charge — first/next-fit
-    /// hit distances, SLL unlink positions, `AddrIndex` miss charges —
-    /// is computed from subtree counts, and because this suite runs in
-    /// debug builds each one is recomputed by the faithful walk compiled
-    /// in next to the rank query (`linked::walk_search`,
+    /// traces through both kernels. Linked-list charges — first/next-fit
+    /// hit distances, SLL unlink positions — are computed from subtree
+    /// counts, `AddrIndex` charges from whole-chunk skips, and because
+    /// this suite runs in debug builds each one is recomputed by the
+    /// naive walk compiled in next to it (`linked::walk_search`,
     /// `ordered::walk_find`), panicking at the first divergence in
     /// answer OR charge; the per-event invariant hook re-validates the
-    /// position-tree and size-map replicas against the lists they answer
-    /// for. Both kernels must agree bit for bit, charges included.
+    /// position-tree and size-map replicas and the chunk invariants.
+    /// Both kernels must agree bit for bit, charges included.
     #[test]
     fn rank_computed_charges_match_faithful_walks(
         flat in trace_strategy(80, 2048),
