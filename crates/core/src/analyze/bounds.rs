@@ -26,6 +26,14 @@
 //!   allocator uses), pool-descriptor static overhead and the fixed-class
 //!   sbrk granule — and keeps only components that hold for *every*
 //!   execution.
+//! - [`rank_by_bound`] orders a candidate list best-first. A sweep of the
+//!   default space asks for 39,840 bounds, but the interpreter reads only
+//!   the pool layout (A1, A2, B1, B4), the tag bytes (A3 × A4), the A2
+//!   class rounding and the `Params` block: 192 distinct inputs, which
+//!   give a DRR trace about 32 distinct bounds. Ranking therefore
+//!   computes each input once through a `BoundMemo` keyed by exactly
+//!   those leaves (see `analyze::memo`); debug builds check every
+//!   memoised bound against the direct call.
 //!
 //! # Admissibility contract
 //!
@@ -58,10 +66,12 @@ use std::collections::HashMap;
 
 use crate::manager::pools::Pools;
 use crate::space::config::DmConfig;
+use crate::space::trees::{BlockSizes, BlockStructure, PoolDivision, PoolStructure};
 use crate::trace::{BoundarySummary, LiveSetPeak, Trace, TraceEvent};
 use crate::units::SBRK_GRANULARITY;
 
 use super::diag::{CatalogEntry, Diagnostic, Severity};
+use super::memo::StageMemo;
 
 /// The live set at one recorded instant of the trace, as a size histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -380,20 +390,85 @@ pub fn lower_bound_peak(facts: &TraceFacts, cfg: &DmConfig) -> usize {
     bound_breakdown(facts, cfg).total()
 }
 
+/// What [`lower_bound_peak`] reads of a configuration besides its
+/// [`Params`](crate::space::Params): the pool layout behind the static
+/// overhead (A1 index, A2 sizes, B1 division, B4 structure), the tag bytes
+/// per block (A3 copies × A4 width) and the A2 class rounding behind
+/// [`DmConfig::block_len_for`]. The quantum guard reads A2 and the trim
+/// threshold, a `Params` field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BoundKey {
+    block_structure: BlockStructure,
+    block_sizes: BlockSizes,
+    pool_division: PoolDivision,
+    pool_structure: PoolStructure,
+    tag_bytes: usize,
+}
+
+impl BoundKey {
+    fn of(cfg: &DmConfig) -> Self {
+        BoundKey {
+            block_structure: cfg.block_structure,
+            block_sizes: cfg.block_sizes,
+            pool_division: cfg.pool_division,
+            pool_structure: cfg.pool_structure,
+            tag_bytes: cfg.tag_bytes_per_block(),
+        }
+    }
+}
+
+/// [`lower_bound_peak`] on one trace's facts, computed once per distinct
+/// bound input (see `analyze::memo`): a sweep of the default space asks
+/// for 39,840 bounds of 192 distinct inputs. Debug builds check every
+/// value against the direct call.
+#[derive(Debug)]
+pub(crate) struct BoundMemo<'f> {
+    facts: &'f TraceFacts,
+    memo: StageMemo<BoundKey, usize>,
+}
+
+impl<'f> BoundMemo<'f> {
+    /// An empty memo over `facts`.
+    pub(crate) fn new(facts: &'f TraceFacts) -> Self {
+        BoundMemo {
+            facts,
+            memo: StageMemo::default(),
+        }
+    }
+
+    /// `lower_bound_peak(facts, cfg)`.
+    pub(crate) fn bound(&mut self, cfg: &DmConfig) -> usize {
+        let facts = self.facts;
+        self.memo
+            .get(cfg, BoundKey::of(cfg), |c| lower_bound_peak(facts, c))
+    }
+
+    /// Distinct bound inputs computed so far under the current `Params`.
+    #[cfg(test)]
+    pub(crate) fn distinct(&self) -> usize {
+        self.memo.len()
+    }
+}
+
 /// Rank candidate configurations for best-first exploration: returns
 /// `(index into configs, bound)` sorted ascending by `(bound, index)`.
+/// Bounds are computed through a `BoundMemo`.
 ///
 /// The secondary index order makes the schedule deterministic and lets
 /// the branch-and-bound loop reproduce the first-seen-minimum winner of
 /// the plain enumeration fold exactly (see
 /// `crate::methodology::exhaustive_best_with_engine`).
 pub fn rank_by_bound(facts: &TraceFacts, configs: &[DmConfig]) -> Vec<(usize, usize)> {
-    let mut ranked: Vec<(usize, usize)> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, cfg)| (i, lower_bound_peak(facts, cfg)))
-        .collect();
-    ranked.sort_by_key(|&(i, b)| (b, i));
+    let mut memo = BoundMemo::new(facts);
+    rank_by(configs.len(), |i| memo.bound(&configs[i]))
+}
+
+/// `(i, bound(i))` for every `i < n`, sorted ascending by `(bound, i)`.
+pub(crate) fn rank_by(n: usize, mut bound: impl FnMut(usize) -> usize) -> Vec<(usize, usize)> {
+    let mut ranked: Vec<(usize, usize)> = (0..n).map(|i| (i, bound(i))).collect();
+    // Entries start in index order, so a stable sort by bound orders ties
+    // by index; a trace has few distinct bounds, which this sort exploits.
+    ranked.sort_by_key(|&(_, b)| b);
     ranked
 }
 

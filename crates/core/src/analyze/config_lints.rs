@@ -15,6 +15,12 @@
 //!   enumerates earlier, so the exploration engine can skip the replay
 //!   without ever changing a winner; the rest are advisories about
 //!   dominated-in-practice (but not provably identical) choices.
+//!
+//! Sweeps ask for the prune-safe verdict of every candidate. It reads
+//! seven leaves and the `Params` block, so the default space has 166
+//! distinct verdict inputs: [`PruneMemo`] computes each once (see
+//! `analyze::memo`), and debug builds check every verdict against
+//! [`prune_reason`].
 
 use crate::space::config::DmConfig;
 use crate::space::interdep::{self, ArrowKind, ARROWS, RULES};
@@ -25,6 +31,7 @@ use crate::space::trees::{
 use crate::units::MIN_BLOCK;
 
 use super::diag::{CatalogEntry, Diagnostic, Severity};
+use super::memo::StageMemo;
 
 /// Fix hints for the hard rules, keyed by [`interdep::Rule::code`]. Only
 /// the *hint* lives here — the rule logic and description stay in the
@@ -509,6 +516,63 @@ pub fn lint_dominance(cfg: &DmConfig) -> Vec<Diagnostic> {
 /// diagnostics of [`lint_config`]; a space-wide test pins the equivalence.
 pub fn prune_reason(cfg: &DmConfig) -> Option<Diagnostic> {
     lint_dominance(cfg).into_iter().find(|d| d.prune_safe)
+}
+
+/// What the prune-safe subset of [`lint_dominance`] reads of a
+/// configuration besides its [`Params`](crate::space::Params): A3 and A4
+/// (`DM030`/`DM031`), A5 and D2 through [`DmConfig::may_coalesce`], E1 and
+/// E2 (`DM033`/`DM034`) and D1 (`DM035`). The parameter thresholds those
+/// codes compare against are `Params` fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PruneKey {
+    block_tags: BlockTags,
+    recorded_info: RecordedInfo,
+    flexible_size: FlexibleSize,
+    coalesce_max: CoalesceMaxSizes,
+    coalesce_when: CoalesceWhen,
+    split_min: SplitMinSizes,
+    split_when: SplitWhen,
+}
+
+impl PruneKey {
+    fn of(cfg: &DmConfig) -> Self {
+        PruneKey {
+            block_tags: cfg.block_tags,
+            recorded_info: cfg.recorded_info,
+            flexible_size: cfg.flexible_size,
+            coalesce_max: cfg.coalesce_max,
+            coalesce_when: cfg.coalesce_when,
+            split_min: cfg.split_min,
+            split_when: cfg.split_when,
+        }
+    }
+}
+
+/// The sweep's static-prune verdict, `prune_reason(cfg).is_some()`,
+/// computed once per distinct `PruneKey` (see `analyze::memo`) instead
+/// of building every candidate's dominance diagnostics. Debug builds check
+/// every verdict against the direct call.
+#[derive(Debug, Default)]
+pub struct PruneMemo {
+    memo: StageMemo<PruneKey, bool>,
+}
+
+impl PruneMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether a prune-safe lint skips `cfg`.
+    pub fn pruned(&mut self, cfg: &DmConfig) -> bool {
+        self.memo
+            .get(cfg, PruneKey::of(cfg), |c| prune_reason(c).is_some())
+    }
+
+    /// Distinct verdict inputs computed so far under the current `Params`.
+    pub fn distinct(&self) -> usize {
+        self.memo.len()
+    }
 }
 
 #[cfg(test)]

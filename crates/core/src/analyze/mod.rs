@@ -27,13 +27,14 @@ pub mod bounds;
 pub mod config_lints;
 pub mod diag;
 pub mod exploration;
+pub(crate) mod memo;
 pub mod trace_lints;
 
 pub use bounds::{
     bound_breakdown, lint_bounds, lower_bound_peak, rank_by_bound, BoundBreakdown,
     LiveSnapshot, PhaseFacts, TraceFacts,
 };
-pub use config_lints::{lint_config, lint_dominance, prune_reason, soft_arrow_code};
+pub use config_lints::{lint_config, lint_dominance, prune_reason, soft_arrow_code, PruneMemo};
 pub use diag::{catalogue, explain, CatalogEntry, Diagnostic, Severity};
 pub use exploration::{lint_exploration, ResilienceReport, EXPLORATION_CATALOGUE};
 pub use trace_lints::{first_error, lint_events, lint_trace};

@@ -59,6 +59,10 @@ pub struct PolicyAllocator {
     /// lets tests pin "system stats settle exactly once per event".
     #[cfg(debug_assertions)]
     sync_calls: u64,
+    /// Blocks `grow` created straight from sbrk (debug builds only): with
+    /// `AllocStats::carves`, the creation side of block conservation.
+    #[cfg(debug_assertions)]
+    fresh_blocks: u64,
     /// Reusable buffer for the current free run of [`PolicyAllocator::sweep_coalesce`]
     /// — bounded by the longest run of adjacent free blocks, reused across
     /// sweeps so a deferred-coalescing manager allocates nothing per pass.
@@ -89,6 +93,8 @@ impl PolicyAllocator {
             coalesce_dirty: false,
             #[cfg(debug_assertions)]
             sync_calls: 0,
+            #[cfg(debug_assertions)]
+            fresh_blocks: 0,
             sweep_run: Vec::new(),
             cfg,
         };
@@ -240,6 +246,7 @@ impl PolicyAllocator {
             let span = Span::new(offset, len);
             let r = self.insert_block(anchor, Block::free(span, pool));
             self.index_free(r, span, pool, steps);
+            self.stats.carves += 1;
             return;
         }
         // Fixed classes: greedy carve, largest class first.
@@ -253,6 +260,7 @@ impl PolicyAllocator {
             let span = Span::new(at, class);
             let r = self.insert_block(cursor, Block::free(span, pool));
             self.index_free(r, span, pool, steps);
+            self.stats.carves += 1;
             cursor = Some(r);
             at += class;
             rest -= class;
@@ -260,6 +268,7 @@ impl PolicyAllocator {
         if rest > 0 {
             // Unusable slack: present in the tiling, in no index.
             self.insert_block(cursor, Block::free(Span::new(at, rest), UNINDEXED));
+            self.stats.carves += 1;
         }
     }
 
@@ -303,18 +312,21 @@ impl PolicyAllocator {
             // Candidate block for the current request:
             let span = Span::new(base, block_len);
             let candidate = self.blocks.push_top(Block::free(span, UNINDEXED));
+            self.count_fresh_block();
             // Siblings of the same class:
             let mut at = base + block_len;
             while at + block_len <= base + reserve {
                 let sspan = Span::new(at, block_len);
                 let r = self.blocks.push_top(Block::free(sspan, pool));
                 self.index_free(r, sspan, pool, steps);
+                self.stats.carves += 1;
                 at += block_len;
             }
             let slack = base + reserve - at;
             if slack > 0 {
                 self.blocks
                     .push_top(Block::free(Span::new(at, slack), UNINDEXED));
+                self.stats.carves += 1;
             }
             return Ok((candidate, span));
         }
@@ -339,8 +351,17 @@ impl PolicyAllocator {
         let base = self.sbrk(block_len)?;
         let span = Span::new(base, block_len);
         let r = self.blocks.push_top(Block::free(span, UNINDEXED));
+        self.count_fresh_block();
         let _pool = self.route(block_len, steps);
         Ok((r, span))
+    }
+
+    /// Count a block `grow` created straight from sbrk (debug builds only).
+    fn count_fresh_block(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.fresh_blocks += 1;
+        }
     }
 
     /// Split the free unindexed block `r` down to `need` bytes if the
@@ -631,6 +652,24 @@ impl PolicyAllocator {
                 self.stats.live_block
             ));
         }
+        // Block conservation: every block in the tiling was created by
+        // sbrk or by carving, and left only by a merge or a trim.
+        #[cfg(debug_assertions)]
+        {
+            let s = &self.stats;
+            let balance = (self.fresh_blocks + s.carves).checked_sub(s.coalesces + s.trims);
+            if balance != Some(self.blocks.len() as u64) {
+                return Err(format!(
+                    "block ledger unbalanced: {} fresh + {} carved - {} merged - {} trimmed \
+                     != {} blocks in the tiling",
+                    self.fresh_blocks,
+                    s.carves,
+                    s.coalesces,
+                    s.trims,
+                    self.blocks.len()
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -861,6 +900,10 @@ impl Allocator for PolicyAllocator {
         self.blocks.clear();
         self.pools.clear();
         self.stats = AllocStats::default();
+        #[cfg(debug_assertions)]
+        {
+            self.fresh_blocks = 0;
+        }
         self.coalesce_dirty = false;
         // Full rebase, mirroring `new` — deltas resume from here.
         self.stats
@@ -884,6 +927,29 @@ mod tests {
 
     fn lea() -> PolicyAllocator {
         PolicyAllocator::new(presets::lea_like()).unwrap()
+    }
+
+    #[test]
+    fn carves_count_granule_siblings_and_split_pieces() {
+        // A fixed-class manager's first miss reserves one granule and cuts
+        // it into the request's block plus same-class siblings.
+        let mut m = kingsley();
+        let len = m.block_len_for(100);
+        let h = m.alloc(100).unwrap();
+        assert_eq!(m.stats().carves, (SBRK_GRANULARITY / len - 1) as u64);
+        m.free(h).unwrap();
+        m.check_invariants().unwrap();
+
+        // A many-size split carves its remainder as one block.
+        let mut m = drr();
+        let big = m.alloc(2000).unwrap();
+        let _pin = m.alloc(16).unwrap();
+        m.free(big).unwrap();
+        let (carves, splits) = (m.stats().carves, m.stats().splits);
+        m.alloc(100).unwrap();
+        assert_eq!(m.stats().splits, splits + 1);
+        assert_eq!(m.stats().carves, carves + 1);
+        m.check_invariants().unwrap();
     }
 
     #[test]

@@ -321,6 +321,37 @@ mod tests {
     }
 
     #[test]
+    fn journals_written_before_the_carve_counter_still_resume() {
+        // A record as journals stored it before `AllocStats::carves`
+        // existed: Kingsley-like on six alloc/free pairs, trace key
+        // (0x1234, 12). It resumes, reads `carves` as 0, and otherwise
+        // equals a fresh replay of the same configuration and trace.
+        const OLD: &str = r#"5d4121b1 {"trace_fp":4660,"trace_events":12,"config_fp":8311656367762758905,"stats":{"manager":"Kingsley-like (space preset)","peak_footprint":12368,"final_footprint":12368,"peak_requested":600,"events":12,"stats":{"live_requested":0,"live_block":0,"system":12368,"static_overhead":80,"peak_requested":600,"peak_footprint":12368,"allocs":6,"frees":6,"splits":0,"coalesces":0,"sbrk_calls":3,"trims":0,"search_steps":154,"failed_fits":3,"reallocs":0,"reallocs_in_place":0},"series":null}}"#;
+        let path = tmp("pre-carves.journal");
+        std::fs::write(&path, format!("{OLD}\n")).unwrap();
+        let j = CheckpointJournal::resume(&path).unwrap();
+        assert_eq!((j.entries(), j.recovered_bytes()), (1, 0));
+
+        let mut b = Trace::builder();
+        let ids: Vec<_> = (0..6).map(|i| b.alloc(40 + 24 * i)).collect();
+        for id in ids {
+            b.free(id);
+        }
+        let t = b.finish().unwrap();
+        let cfg = presets::kingsley_like();
+        let fresh = replay(&t, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
+        assert!(
+            fresh.stats.carves > 0,
+            "the fresh replay carves its granules"
+        );
+        let mut want = fresh;
+        want.stats.carves = 0;
+        let loaded = j.lookup(0x1234, t.len(), cfg.fingerprint());
+        assert_eq!(loaded, Some(want));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn unwritable_path_is_a_typed_error() {
         let e = CheckpointJournal::create(Path::new("/nonexistent/dir/x.journal")).unwrap_err();
         assert!(matches!(e, Error::Checkpoint(_)), "{e:?}");

@@ -941,6 +941,7 @@ fn _assert_engine_bounds() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methodology::window::Candidates;
     use crate::space::presets;
 
     fn trace() -> Trace {
@@ -1281,7 +1282,7 @@ mod tests {
                 }
             }
             let windowed = ExplorationEngine::new(4).with_projection(projection);
-            let got = windowed.sweep_ranked(&t, key, &configs, &ranked).unwrap();
+            let got = windowed.sweep_ranked(&t, key, Candidates::Configs(&configs), &ranked).unwrap();
             assert_eq!(got, (best, evaluated), "projection {projection}");
             assert_eq!(
                 windowed.counters(),
@@ -1307,7 +1308,7 @@ mod tests {
         // Bound 0 never prunes: all three reach the same window.
         let ranked: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
         let engine = ExplorationEngine::new(2).with_projection(true);
-        let (_, evaluated) = engine.sweep_ranked(&t, key, &configs, &ranked).unwrap();
+        let (_, evaluated) = engine.sweep_ranked(&t, key, Candidates::Configs(&configs), &ranked).unwrap();
         let c = engine.counters();
         assert_eq!(
             c.replays, 2,
@@ -1347,7 +1348,7 @@ mod tests {
                 .with_projection(true)
                 .with_quarantine(true)
                 .with_fault_plan(plan());
-            let (best, evaluated) = engine.sweep_ranked(&t, key, &configs, &ranked).unwrap();
+            let (best, evaluated) = engine.sweep_ranked(&t, key, Candidates::Configs(&configs), &ranked).unwrap();
             let c = engine.counters();
             assert_eq!(c.quarantined, 2, "jobs {jobs}: {c}");
             assert_eq!(
@@ -1361,7 +1362,7 @@ mod tests {
         // by a losing floor; the static lints still count first.
         let engine = ExplorationEngine::new(4);
         let ranked = [(3, 0), (0, usize::MAX), (2, usize::MAX)];
-        let (best, evaluated) = engine.sweep_ranked(&t, key, &configs, &ranked).unwrap();
+        let (best, evaluated) = engine.sweep_ranked(&t, key, Candidates::Configs(&configs), &ranked).unwrap();
         assert_eq!((best.map(|b| b.order), evaluated), (Some(3), 1));
         assert_eq!(engine.counters().bound_pruned, 2);
     }

@@ -422,7 +422,7 @@ impl Methodology {
         params: &Params,
         style: CompletionStyle,
     ) -> Result<DmConfig> {
-        let mut p = partial.clone();
+        let mut p = *partial;
         for tree in &self.order {
             if p.get(*tree).is_none() {
                 let leaf = match style {
@@ -563,7 +563,7 @@ impl Methodology {
             // bit.
             let mut completions = Vec::with_capacity(candidates.len());
             for &leaf in &candidates {
-                let mut trial = partial.clone();
+                let mut trial = partial;
                 trial.set(leaf);
                 completions.push(self.complete(&trial, &params, style)?);
             }
@@ -1244,6 +1244,11 @@ pub fn exhaustive_best(
 /// evaluated (replays + cache hits + projection hits), i.e. enumerated
 /// minus pruned.
 ///
+/// The sweep reads the process-wide space table (see
+/// [`crate::space::enumerate`]) with `params`; bounds and static-prune
+/// verdicts are computed once per distinct input, and a named
+/// [`DmConfig`] is materialised only for candidates it evaluates.
+///
 /// Engines with [`ExplorationEngine::set_projection`] additionally
 /// collapse behaviorally-identical candidates to one replay per
 /// [`cache::ProjectedKey`] equivalence class. The sweep runs in windows
@@ -1263,19 +1268,17 @@ pub fn exhaustive_best_with_engine(
     limit: Option<usize>,
     engine: &ExplorationEngine,
 ) -> Result<(DmConfig, usize, usize)> {
-    let configs: Vec<DmConfig> =
-        crate::space::enumerate::SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params)
-            .take(limit.unwrap_or(usize::MAX))
-            .collect();
-    let facts = crate::analyze::TraceFacts::of(trace);
-    let ranked = crate::analyze::rank_by_bound(&facts, &configs);
+    let table = crate::space::enumerate::space_table(TRAVERSAL_ORDER);
+    let points = &table[..limit.unwrap_or(usize::MAX).min(table.len())];
+    let candidates = window::Candidates::Space {
+        points,
+        params: &params,
+    };
+    let ranked = candidates.rank(&crate::analyze::TraceFacts::of(trace));
     let (best, evaluated) =
-        engine.sweep_ranked(trace, cache::TraceKey::of(trace), &configs, &ranked)?;
+        engine.sweep_ranked(trace, cache::TraceKey::of(trace), candidates, &ranked)?;
     let best = best.ok_or_else(|| Error::EmptySearchSpace("no configuration enumerated".into()))?;
-    let cfg = configs
-        .into_iter()
-        .nth(best.order)
-        .expect("winner index is in range");
+    let cfg = candidates.config(best.order).into_owned();
     Ok((cfg, best.peak, evaluated))
 }
 
@@ -1846,5 +1849,40 @@ mod tests {
                 || c.projection_hits == 0,
             "projection hits must come out of the replay budget"
         );
+    }
+
+    #[test]
+    fn table_candidates_rank_and_name_like_the_materialised_space() {
+        // The sweep's table path against the public, materialised one:
+        // same ranking as `rank_by_bound` over `SpaceIter`'s configs, the
+        // same configuration (name included) for every order, and a few
+        // hundred distinct bound inputs (192) behind the whole ranking.
+        let t = fragmenting_trace();
+        let params = Methodology::new().seed_params(&Profile::of(&t));
+        let table = crate::space::enumerate::space_table(TRAVERSAL_ORDER);
+        let n = if cfg!(debug_assertions) { 2_000 } else { table.len() };
+        let candidates = window::Candidates::Space {
+            points: &table[..n],
+            params: &params,
+        };
+        let configs: Vec<DmConfig> = crate::space::enumerate::SpaceIter::with_order_and_params(
+            TRAVERSAL_ORDER.to_vec(),
+            params.clone(),
+        )
+        .take(n)
+        .collect();
+        let facts = crate::analyze::TraceFacts::of(&t);
+        assert_eq!(
+            candidates.rank(&facts),
+            crate::analyze::rank_by_bound(&facts, &configs)
+        );
+        for (order, cfg) in configs.iter().enumerate().step_by(7) {
+            assert_eq!(*candidates.config(order), *cfg);
+        }
+        let mut memo = crate::analyze::bounds::BoundMemo::new(&facts);
+        for cfg in &configs {
+            memo.bound(cfg);
+        }
+        assert!(memo.distinct() < 256, "{} distinct bound inputs", memo.distinct());
     }
 }

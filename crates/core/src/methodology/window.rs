@@ -22,21 +22,33 @@
 //!   candidate the commit prunes — a replay, a panic or a budget trip — is
 //!   dropped uncounted.
 //!
+//! The sweep holds its candidates as [`Candidates`]: for the exhaustive
+//! sweep, the shared space table plus one `Params` block. A named
+//! [`DmConfig`] is materialised only for a candidate the plan evaluates,
+//! a replay worker replays, or the caller returns as the winner; the
+//! static-prune verdicts of the rest are read through one scratch
+//! configuration and a [`PruneMemo`], and the bound-pruned suffix is
+//! never materialised.
+//!
 //! Only the committing thread touches counters, cache tiers, the journal
 //! and the incumbent, and it does so in rank order. The winner, every
 //! [`EngineCounters`](super::EngineCounters) field and the journal bytes
 //! therefore do not depend on `jobs`, and they equal the per-candidate
 //! `evaluate_bounded` composition.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+use crate::analyze::bounds::{rank_by, BoundMemo};
+use crate::analyze::{PruneMemo, TraceFacts};
 use crate::error::Result;
 use crate::methodology::cache::{ProjectedKey, TraceKey};
 use crate::methodology::engine::{Evaluation, ExplorationEngine, Incumbent};
 use crate::metrics::FootprintStats;
-use crate::space::config::DmConfig;
+use crate::space::config::{DmConfig, Params, PartialConfig};
+use crate::space::enumerate::freeze_point;
 use crate::trace::{CompiledTrace, Trace};
 
 /// Candidates planned, speculated and committed per window: enough
@@ -44,10 +56,74 @@ use crate::trace::{CompiledTrace, Trace};
 /// few enough that speculation past the final cut stays small.
 const WINDOW: usize = 256;
 
-/// The plan's decision for one candidate of a window.
+/// The candidate list a sweep walks, indexed by enumeration order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Candidates<'a> {
+    /// Materialised configurations: unit tests sweep hand-picked ones.
+    #[cfg(test)]
+    Configs(&'a [DmConfig]),
+    /// Space-table entries under one `Params` block, named as
+    /// [`SpaceIter`](crate::space::enumerate::SpaceIter) names them.
+    Space {
+        points: &'a [PartialConfig],
+        params: &'a Params,
+    },
+}
+
+impl<'a> Candidates<'a> {
+    fn len(&self) -> usize {
+        match self {
+            #[cfg(test)]
+            Candidates::Configs(configs) => configs.len(),
+            Candidates::Space { points, .. } => points.len(),
+        }
+    }
+
+    /// Candidate `order`, named: borrowed, or frozen on demand.
+    pub(super) fn config(&self, order: usize) -> Cow<'a, DmConfig> {
+        match *self {
+            #[cfg(test)]
+            Candidates::Configs(configs) => Cow::Borrowed(&configs[order]),
+            Candidates::Space { points, params } => {
+                Cow::Owned(freeze_point(points[order], order, params))
+            }
+        }
+    }
+
+    /// Candidate `order`'s leaves and `Params`, for the analysis memos,
+    /// which never read the name. A table entry is written into
+    /// `scratch`, whose name is not the candidate's.
+    fn view<'s>(&'s self, order: usize, scratch: &'s mut Option<DmConfig>) -> &'s DmConfig {
+        match *self {
+            #[cfg(test)]
+            Candidates::Configs(configs) => &configs[order],
+            Candidates::Space { points, params } => match scratch {
+                Some(cfg) => {
+                    points[order].apply_to(cfg);
+                    cfg
+                }
+                None => scratch.insert(
+                    points[order]
+                        .freeze(String::new(), params.clone())
+                        .expect("table entries are complete"),
+                ),
+            },
+        }
+    }
+
+    /// The `(order, bound)` list of every candidate, ascending by
+    /// `(bound, order)`, as [`crate::analyze::rank_by_bound`] ranks it.
+    pub(super) fn rank(&self, facts: &TraceFacts) -> Vec<(usize, usize)> {
+        let mut memo = BoundMemo::new(facts);
+        let mut scratch = None;
+        rank_by(self.len(), |order| {
+            memo.bound(self.view(order, &mut scratch))
+        })
+    }
+}
+
+/// The plan's decision for a candidate no prune-safe lint skips.
 enum Step {
-    /// A prune-safe lint fired.
-    Static,
     /// A projected-tier hit.
     Projected(FootprintStats),
     /// A structural-tier hit (projection off).
@@ -62,9 +138,17 @@ enum Step {
 }
 
 /// One planned candidate.
-struct Item {
+struct Item<'a> {
     order: usize,
     bound: usize,
+    /// `None` when a prune-safe lint skips the candidate.
+    planned: Option<Planned<'a>>,
+}
+
+/// The plan of a candidate no prune-safe lint skips.
+struct Planned<'a> {
+    /// The candidate, materialised.
+    cfg: Cow<'a, DmConfig>,
     step: Step,
     /// Where a representative's stats are published: its projected key,
     /// or `None` for the structural tier (projection off).
@@ -72,11 +156,10 @@ struct Item {
 }
 
 impl ExplorationEngine {
-    /// Sweep `ranked` (`(order, bound)` pairs from
-    /// [`crate::analyze::rank_by_bound`], indexing `configs`) window by
-    /// window. See the module docs for the contract. Returns the
-    /// incumbent (the winner) and the number of candidates evaluated
-    /// (`evaluations + projection_hits`).
+    /// Sweep `ranked` (`(order, bound)` pairs from [`Candidates::rank`],
+    /// indexing `candidates`) window by window. See the module docs for
+    /// the contract. Returns the incumbent (the winner) and the number of
+    /// candidates evaluated (`evaluations + projection_hits`).
     ///
     /// # Errors
     ///
@@ -86,7 +169,7 @@ impl ExplorationEngine {
         &self,
         trace: &Trace,
         key: TraceKey,
-        configs: &[DmConfig],
+        candidates: Candidates<'_>,
         ranked: &[(usize, usize)],
     ) -> Result<(Option<Incumbent>, usize)> {
         let compiled = self.compiled_for(key, trace);
@@ -94,7 +177,9 @@ impl ExplorationEngine {
         let workers = self.reserve_workers(ranked.len().min(WINDOW).saturating_sub(1));
         let result = std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| board.work(|order| self.replay_fresh(&compiled, &configs[order])));
+                scope.spawn(|| {
+                    board.work(|order| self.replay_fresh(&compiled, &candidates.config(order)))
+                });
             }
             // Release the workers however the commit loop ends, panics
             // included: the scope joins them before it returns.
@@ -103,9 +188,11 @@ impl ExplorationEngine {
                 engine: self,
                 trace,
                 key,
-                configs,
+                candidates,
                 compiled: &compiled,
                 board: &board,
+                prunes: PruneMemo::new(),
+                scratch: None,
                 best: None,
                 evaluated: 0,
             };
@@ -122,21 +209,31 @@ struct Sweep<'a> {
     engine: &'a ExplorationEngine,
     trace: &'a Trace,
     key: TraceKey,
-    configs: &'a [DmConfig],
+    candidates: Candidates<'a>,
     compiled: &'a CompiledTrace,
     board: &'a Board,
+    /// The static-prune verdicts, memoised for this sweep's `Params`.
+    prunes: PruneMemo,
+    /// The configuration table entries are read through.
+    scratch: Option<DmConfig>,
     best: Option<Incumbent>,
     evaluated: usize,
 }
 
-impl Sweep<'_> {
+impl<'a> Sweep<'a> {
+    /// Whether a prune-safe lint skips candidate `order`.
+    fn statically_pruned(&mut self, order: usize) -> bool {
+        let cfg = self.candidates.view(order, &mut self.scratch);
+        self.prunes.pruned(cfg)
+    }
+
     fn run(&mut self, ranked: &[(usize, usize)]) -> Result<()> {
         let engine = self.engine;
         let projection = engine
             .projection()
             .then(|| engine.projection_for(self.key, self.trace));
         let mut firsts: HashMap<ProjectedKey, usize> = HashMap::new();
-        let mut items: Vec<Item> = Vec::with_capacity(WINDOW);
+        let mut items: Vec<Item<'a>> = Vec::with_capacity(WINDOW);
         let mut at = 0;
         while at < ranked.len() {
             // Plan.
@@ -144,13 +241,11 @@ impl Sweep<'_> {
             let mut tasks = Vec::new();
             let mut stopped = false;
             for &(order, bound) in &ranked[at..ranked.len().min(at + WINDOW)] {
-                let cfg = &self.configs[order];
-                if crate::analyze::prune_reason(cfg).is_some() {
+                if self.statically_pruned(order) {
                     items.push(Item {
                         order,
                         bound,
-                        step: Step::Static,
-                        pkey: None,
+                        planned: None,
                     });
                     continue;
                 }
@@ -159,34 +254,39 @@ impl Sweep<'_> {
                     break;
                 }
                 let index = items.len();
+                let cfg = self.candidates.config(order);
                 let step = match &projection {
                     Some(projection) => {
-                        let pkey = ProjectedKey::of(cfg, projection);
+                        let pkey = ProjectedKey::of(&cfg, projection);
                         match engine.cache().get_projected(self.key, &pkey) {
                             Some(stats) => Step::Projected(stats),
                             None => match firsts.entry(pkey) {
                                 Entry::Occupied(rep) => Step::Follow(*rep.get()),
                                 Entry::Vacant(slot) => {
                                     slot.insert(index);
-                                    self.representative(cfg, order, bound, &mut tasks)
+                                    self.representative(&cfg, order, bound, &mut tasks)
                                 }
                             },
                         }
                     }
-                    None => match engine.cache().get_keyed(self.key, cfg) {
+                    None => match engine.cache().get_keyed(self.key, &cfg) {
                         Some(stats) => Step::Cached(stats),
-                        None => self.representative(cfg, order, bound, &mut tasks),
+                        None => self.representative(&cfg, order, bound, &mut tasks),
                     },
                 };
                 items.push(Item {
                     order,
                     bound,
-                    step,
-                    pkey: None,
+                    planned: Some(Planned {
+                        cfg,
+                        step,
+                        pkey: None,
+                    }),
                 });
             }
             for (pkey, index) in firsts.drain() {
-                items[index].pkey = Some(pkey);
+                let planned = items[index].planned.as_mut();
+                planned.expect("a representative is planned").pkey = Some(pkey);
             }
             at += items.len();
 
@@ -203,7 +303,7 @@ impl Sweep<'_> {
         // The pruned suffix: a static prune still wins over the bound, as
         // in `evaluate_bounded`.
         for &(order, _) in &ranked[at..] {
-            if crate::analyze::prune_reason(&self.configs[order]).is_some() {
+            if self.statically_pruned(order) {
                 engine.count_static();
             } else {
                 engine.count_bound();
@@ -218,7 +318,7 @@ impl Sweep<'_> {
     fn commit(
         &mut self,
         index: usize,
-        item: Item,
+        item: Item<'a>,
         served: &mut [Option<FootprintStats>],
     ) -> Result<()> {
         let engine = self.engine;
@@ -226,19 +326,18 @@ impl Sweep<'_> {
         let Item {
             order,
             bound,
-            step,
-            pkey,
+            planned,
         } = item;
-        let cfg = &self.configs[order];
+        let Some(Planned { cfg, step, pkey }) = planned else {
+            engine.count_static();
+            return Ok(());
+        };
+        if self.best.is_some_and(|inc| inc.prunes(bound, order)) {
+            engine.count_bound();
+            return Ok(());
+        }
+        let cfg: &DmConfig = &cfg;
         let eval = match step {
-            Step::Static => {
-                engine.count_static();
-                return Ok(());
-            }
-            _ if self.best.is_some_and(|inc| inc.prunes(bound, order)) => {
-                engine.count_bound();
-                return Ok(());
-            }
             Step::Projected(stats) => Some(engine.projection_hit(trace, key, cfg, stats)),
             Step::Cached(stats) => Some(engine.cache_hit(cfg, stats)),
             Step::Journal(stats) => {
@@ -250,7 +349,7 @@ impl Sweep<'_> {
                 let replayed = self
                     .board
                     .take(task, |order| {
-                        engine.replay_fresh(self.compiled, &self.configs[order])
+                        engine.replay_fresh(self.compiled, &self.candidates.config(order))
                     })
                     .expect("workers skip only tasks the committed incumbent prunes");
                 let committed = replayed.and_then(|stats| {

@@ -34,6 +34,14 @@ pub struct AllocStats {
     pub splits: u64,
     /// Number of block merges performed.
     pub coalesces: u64,
+    /// Number of free blocks created by carving: the class-sized siblings
+    /// and slack a fixed-class manager cuts a fresh granule into, and
+    /// every piece (slack that fits no class included) a split remainder
+    /// or shrunk realloc tail is cut into. Together with the blocks sbrk
+    /// creates, it balances merges, trims and the blocks in the heap.
+    /// Absent from records written before it existed, which read as 0.
+    #[serde(default)]
+    pub carves: u64,
     /// Number of times memory was requested from the system.
     pub sbrk_calls: u64,
     /// Number of times memory was returned to the system.
@@ -170,6 +178,7 @@ impl AllocStats {
         self.frees += other.frees;
         self.splits += other.splits;
         self.coalesces += other.coalesces;
+        self.carves += other.carves;
         self.sbrk_calls += other.sbrk_calls;
         self.trims += other.trims;
         self.search_steps += other.search_steps;

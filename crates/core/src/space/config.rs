@@ -341,7 +341,7 @@ impl DmConfigBuilder {
         if !admissible.contains(&leaf) {
             // Name the rule(s) the trial decision would break — the same
             // table (and codes) `dmm lint` reports against.
-            let mut trial = self.partial.clone();
+            let mut trial = self.partial;
             trial.set(leaf);
             let broken: Vec<String> = interdep::violations(&trial)
                 .iter()
@@ -388,7 +388,11 @@ impl DmConfigBuilder {
 }
 
 /// A configuration under construction: each tree is either decided or open.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Twelve bytes: each decision is a one-byte `Option` of its leaf enum,
+/// which is what keeps the enumerated space table (see
+/// [`crate::space::enumerate`]) compact.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PartialConfig {
     a1: Option<BlockStructure>,
     a2: Option<BlockSizes>,
@@ -467,6 +471,29 @@ impl PartialConfig {
     /// Whether every tree is decided.
     pub fn is_complete(&self) -> bool {
         self.decided_count() == TreeId::ALL.len()
+    }
+
+    /// Overwrite the twelve leaves of `cfg` with this complete assignment,
+    /// keeping its name and [`Params`]. One scratch configuration can so
+    /// read many space-table entries without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any tree is still open.
+    pub(crate) fn apply_to(&self, cfg: &mut DmConfig) {
+        const WHOLE: &str = "apply_to needs a complete assignment";
+        cfg.block_structure = self.a1.expect(WHOLE);
+        cfg.block_sizes = self.a2.expect(WHOLE);
+        cfg.block_tags = self.a3.expect(WHOLE);
+        cfg.recorded_info = self.a4.expect(WHOLE);
+        cfg.flexible_size = self.a5.expect(WHOLE);
+        cfg.pool_division = self.b1.expect(WHOLE);
+        cfg.pool_structure = self.b4.expect(WHOLE);
+        cfg.fit = self.c1.expect(WHOLE);
+        cfg.coalesce_max = self.d1.expect(WHOLE);
+        cfg.coalesce_when = self.d2.expect(WHOLE);
+        cfg.split_min = self.e1.expect(WHOLE);
+        cfg.split_when = self.e2.expect(WHOLE);
     }
 
     /// Turn a complete partial configuration into a [`DmConfig`].

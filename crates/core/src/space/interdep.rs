@@ -403,7 +403,7 @@ pub fn completable(partial: &PartialConfig) -> bool {
     match undecided {
         None => true,
         Some(&tree) => tree.leaves().into_iter().any(|leaf| {
-            let mut trial = partial.clone();
+            let mut trial = *partial;
             trial.set(leaf);
             completable(&trial)
         }),
@@ -416,7 +416,7 @@ pub fn admissible_leaves(tree: TreeId, partial: &PartialConfig) -> Vec<Leaf> {
     tree.leaves()
         .into_iter()
         .filter(|leaf| {
-            let mut trial = partial.clone();
+            let mut trial = *partial;
             trial.set(*leaf);
             completable(&trial)
         })

@@ -6,13 +6,13 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item).parse().expect("generated Serialize impl parses")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item).parse().expect("generated Deserialize impl parses")
@@ -24,7 +24,15 @@ enum Fields {
     /// Tuple fields; the count.
     Tuple(usize),
     /// Named fields, in declaration order.
-    Named(Vec<String>),
+    Named(Vec<Field>),
+}
+
+/// One named field.
+struct Field {
+    name: String,
+    /// `#[serde(default)]`: a missing field deserializes as
+    /// `Default::default()`.
+    default: bool,
 }
 
 enum Item {
@@ -94,13 +102,15 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-/// Extracts field names from a braced field list, skipping attributes,
-/// visibility, and the (possibly generic) type after each `:`.
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+/// Extracts the fields of a braced field list, skipping attributes
+/// (noting `#[serde(default)]`), visibility, and the (possibly generic)
+/// type after each `:`.
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut names = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
+        let default = has_serde_default(&tokens, i);
         i = skip_attrs_and_vis(&tokens, i);
         if i >= tokens.len() {
             break;
@@ -109,7 +119,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
             TokenTree::Ident(id) => id.to_string(),
             other => panic!("serde shim derive: expected field name, got {other:?}"),
         };
-        names.push(name);
+        names.push(Field { name, default });
         i += 1;
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
@@ -197,6 +207,23 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, Fields)> {
     variants
 }
 
+/// Whether the attributes starting at `i` include `#[serde(default)]`.
+fn has_serde_default(tokens: &[TokenTree], mut i: usize) -> bool {
+    while let Some(TokenTree::Punct(p)) = tokens.get(i) {
+        if p.as_char() != '#' {
+            break;
+        }
+        if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
+            let attr: String = g.stream().to_string().split_whitespace().collect();
+            if attr == "serde(default)" {
+                return true;
+            }
+        }
+        i += 2;
+    }
+    false
+}
+
 fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
     loop {
         match tokens.get(i) {
@@ -282,10 +309,11 @@ fn gen_serialize(item: &Item) -> String {
                     }
                     Fields::Named(names) => {
                         let inner = map_expr(names, "");
+                        let binds: Vec<&str> = names.iter().map(|f| f.name.as_str()).collect();
                         arms.push_str(&format!(
                             "{name}::{v} {{ {} }} => ::serde::Value::Map(::std::vec![(\
                              ::std::string::String::from(\"{v}\"), {inner})]),\n",
-                            names.join(", ")
+                            binds.join(", ")
                         ));
                     }
                 }
@@ -303,10 +331,10 @@ fn gen_serialize(item: &Item) -> String {
 
 /// `Value::Map` literal from field names; `prefix` is `self.` or empty
 /// (for match-bound struct-variant fields, which are references).
-fn map_expr(names: &[String], prefix: &str) -> String {
-    let entries: Vec<String> = names
+fn map_expr(fields: &[Field], prefix: &str) -> String {
+    let entries: Vec<String> = fields
         .iter()
-        .map(|f| {
+        .map(|Field { name: f, .. }| {
             format!(
                 "(::std::string::String::from(\"{f}\"), \
                  ::serde::Serialize::to_value(&{prefix}{f}))"
@@ -416,13 +444,19 @@ fn gen_deserialize(item: &Item) -> String {
     }
 }
 
-fn named_init(names: &[String], map: &str) -> String {
-    names
+fn named_init(fields: &[Field], map: &str) -> String {
+    fields
         .iter()
-        .map(|f| {
-            format!(
-                "{f}: ::serde::Deserialize::from_value(::serde::field({map}, \"{f}\")?)?, "
-            )
+        .map(|Field { name: f, default }| {
+            if *default {
+                format!(
+                    "{f}: match {map}.iter().find(|(k, _)| k == \"{f}\") {{ \
+                     ::std::option::Option::Some((_, v)) => ::serde::Deserialize::from_value(v)?, \
+                     ::std::option::Option::None => ::std::default::Default::default() }}, "
+                )
+            } else {
+                format!("{f}: ::serde::Deserialize::from_value(::serde::field({map}, \"{f}\")?)?, ")
+            }
         })
         .collect()
 }

@@ -16,6 +16,10 @@
 //! cargo test --release --test golden_space -- --ignored full_space
 //! ```
 //!
+//! A second ignored test checks the sweep's memoised set-up stages (bound
+//! ranking, static-prune verdicts) against their direct calls over the
+//! whole space on the same traces.
+//!
 //! Regenerate (only for an intentional behaviour change) with:
 //!
 //! ```sh
@@ -24,6 +28,7 @@
 
 use std::collections::HashSet;
 
+use dmm::core::analyze::{lower_bound_peak, prune_reason, rank_by_bound, PruneMemo, TraceFacts};
 use dmm::core::space::enumerate::SpaceIter;
 use dmm::core::space::order::TRAVERSAL_ORDER;
 use dmm::core::space::trees::{Leaf, TreeId};
@@ -47,7 +52,7 @@ const FULL_SPACE_HASHES: [(&str, u64); 2] = [
 
 /// The two fixed traces: 15 ms of DRR case-study traffic and the
 /// test-scale reconstruction.
-fn traces() -> Vec<(&'static str, CompiledTrace)> {
+fn recorded_traces() -> Vec<(&'static str, Trace)> {
     let drr = DrrWorkload::with_configs(
         3,
         TrafficConfig {
@@ -62,7 +67,15 @@ fn traces() -> Vec<(&'static str, CompiledTrace)> {
     let recon = ReconWorkload::quick(1);
     [("drr", drr.record()), ("recon", recon.record())]
         .into_iter()
-        .map(|(name, t)| (name, CompiledTrace::compile(&t.expect("records"))))
+        .map(|(name, t)| (name, t.expect("records")))
+        .collect()
+}
+
+/// [`recorded_traces`], compiled.
+fn traces() -> Vec<(&'static str, CompiledTrace)> {
+    recorded_traces()
+        .into_iter()
+        .map(|(name, t)| (name, CompiledTrace::compile(&t)))
         .collect()
 }
 
@@ -157,6 +170,42 @@ fn full_space_matches_committed_hashes() {
         let h = full_space_hash(&compiled, &configs);
         assert_eq!(h, want, "{name}: full-space digest hash {h:#018x} diverged");
     }
+}
+
+#[test]
+#[ignore = "ranks and lints the whole 39,840-config space; run in release"]
+fn memoised_sweep_stages_match_direct_calls_over_the_space() {
+    // The sweep computes bounds and static-prune verdicts once per
+    // distinct input. Over the whole space, the memoised ranking must equal
+    // a per-configuration `lower_bound_peak` sort on both traces, and the
+    // memoised verdict must equal `prune_reason` for every configuration.
+    let configs: Vec<DmConfig> = space().collect();
+    for (name, trace) in recorded_traces() {
+        let facts = TraceFacts::of(&trace);
+        let mut direct: Vec<(usize, usize)> = configs
+            .iter()
+            .enumerate()
+            .map(|(i, cfg)| (i, lower_bound_peak(&facts, cfg)))
+            .collect();
+        direct.sort_by_key(|&(i, b)| (b, i));
+        assert!(
+            rank_by_bound(&facts, &configs) == direct,
+            "{name}: ranking diverged"
+        );
+    }
+    let mut memo = PruneMemo::new();
+    let mut pruned = 0;
+    for cfg in &configs {
+        let direct = prune_reason(cfg).is_some();
+        assert_eq!(memo.pruned(cfg), direct, "{}", cfg.summary());
+        pruned += usize::from(direct);
+    }
+    assert!(pruned > 0 && pruned < configs.len(), "{pruned} pruned");
+    assert!(
+        memo.distinct() < 200,
+        "{} distinct verdict inputs",
+        memo.distinct()
+    );
 }
 
 #[test]

@@ -823,6 +823,66 @@ proptest! {
     }
 }
 
+// A sweep computes bounds and static-prune verdicts once per distinct
+// input: the leaves each stage reads, under one `Params` block. Random
+// traces and parameter blocks, over a stride sample of the space; debug
+// builds also assert every memoised value against the direct call.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The memoised bound ranking equals a per-configuration
+    /// `lower_bound_peak` sort, and the memoised static-prune verdict
+    /// equals `prune_reason`, for one `Params` block and for candidates
+    /// whose `Params` alternate in runs (each change empties the memo).
+    #[test]
+    fn memoised_sweep_stages_match_direct_calls(
+        flat in trace_strategy(60, 1500),
+        phased in phased_trace_strategy(15, 1024),
+        split_threshold in 0usize..256,
+        split_floor in 0usize..128,
+        coalesce_cap in 0usize..4096,
+        arena_limit in 1024usize..8192,
+        limited in any::<bool>(),
+    ) {
+        use dmm::core::analyze::{lower_bound_peak, prune_reason, rank_by_bound, PruneMemo, TraceFacts};
+        use dmm::core::space::enumerate::SpaceIter;
+        use dmm::core::space::order::TRAVERSAL_ORDER;
+
+        let mut params = sweep_params();
+        params.split_threshold = split_threshold;
+        params.split_floor = split_floor;
+        params.coalesce_cap = coalesce_cap;
+        params.arena_limit = limited.then_some(arena_limit);
+        let sample = |params: Params| -> Vec<DmConfig> {
+            SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params)
+                .step_by(37)
+                .collect()
+        };
+        let random = sample(params);
+        let mixed: Vec<DmConfig> = random
+            .chunks(5)
+            .zip(sample(sweep_params()).chunks(5))
+            .flat_map(|(a, b)| a.iter().chain(b).cloned())
+            .collect();
+        for configs in [&random, &mixed] {
+            for trace in [&flat, &phased] {
+                let facts = TraceFacts::of(trace);
+                let mut direct: Vec<(usize, usize)> = configs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, cfg)| (i, lower_bound_peak(&facts, cfg)))
+                    .collect();
+                direct.sort_by_key(|&(i, b)| (b, i));
+                prop_assert!(rank_by_bound(&facts, configs) == direct, "ranking diverged");
+            }
+            let mut memo = PruneMemo::new();
+            for cfg in configs {
+                prop_assert_eq!(memo.pruned(cfg), prune_reason(cfg).is_some(), "{}", cfg.summary());
+            }
+        }
+    }
+}
+
 /// The parameters of the repository's DRR sweeps: every arm of the space,
 /// profiled classes included, is enumerable.
 fn sweep_params() -> Params {
