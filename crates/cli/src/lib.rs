@@ -28,7 +28,8 @@
 //!
 //! Robustness flags: `--checkpoint=FILE` journals every completed replay
 //! so a killed sweep resumes with `--resume` (bit-identical winner);
-//! `--budget-steps=N`/`--budget-ms=N` bound each candidate replay.
+//! `--budget-steps=N`/`--budget-ms=N` bound each candidate replay (a
+//! tripped budget fails the run with a typed error).
 //!
 //! [`Invocation::parse`] rejects an unknown `--flag`, a malformed
 //! `--seed`, `--jobs`, `--shards`, `--budget-steps` or `--budget-ms` value
@@ -324,9 +325,9 @@ fn trace_source(inv: &Invocation) -> Result<(String, Trace, Option<String>)> {
 }
 
 /// The exploration engine a subcommand evaluates through, with the
-/// robustness flags applied: per-candidate budgets (quarantine mode comes
-/// with them, so budget trips in sweeps skip the candidate instead of
-/// aborting the sweep) and the checkpoint journal.
+/// robustness flags applied: per-candidate budgets and the checkpoint
+/// journal. Every exploration the CLI runs is strict, so a tripped budget
+/// fails the run with a typed error.
 fn engine_for(inv: &Invocation) -> Result<ExplorationEngine> {
     if inv.resume && inv.checkpoint.is_none() {
         return Err(Error::InvalidConfig(
@@ -335,11 +336,10 @@ fn engine_for(inv: &Invocation) -> Result<ExplorationEngine> {
     }
     let mut engine = ExplorationEngine::new(inv.jobs);
     if inv.budget_steps.is_some() || inv.budget_ms.is_some() {
-        engine.set_budget(BudgetSpec {
+        engine = engine.with_budget(BudgetSpec {
             max_steps: inv.budget_steps,
             max_millis: inv.budget_ms,
         });
-        engine.set_quarantine(true);
     }
     if let Some(path) = &inv.checkpoint {
         let p = std::path::Path::new(path);
@@ -348,7 +348,7 @@ fn engine_for(inv: &Invocation) -> Result<ExplorationEngine> {
         } else {
             CheckpointJournal::create(p)?
         };
-        engine.set_journal(journal);
+        engine = engine.with_journal(journal);
     }
     Ok(engine)
 }
@@ -463,7 +463,8 @@ pub fn help_text() -> String {
      --checkpoint=FILE journals every completed replay; after a crash,\n\
      --resume skips the journalled candidates (bit-identical winner)\n\
      --budget-steps=N / --budget-ms=N bound each candidate replay; a\n\
-     tripped budget aborts that candidate, not the sweep\n\
+     tripped budget fails the run (exit status 1, \"candidate budget\n\
+     exceeded\")\n\
      \n\
      An unknown option, a malformed --seed, --jobs, --shards or --budget-*\n\
      value (or --shards=0) exits with status 2, as does the removed\n\

@@ -1,35 +1,31 @@
 //! Replay memoisation for the exploration engine.
 //!
-//! The greedy traversal scores every candidate leaf by *completing* it into
-//! a full configuration and replaying the whole trace. Completions taken at
-//! different trees frequently collapse to the **same** full configuration
-//! (the winning completion at tree *k* reappears verbatim as the preferred
-//! default at tree *k+1*, and the portfolio probes of
-//! [`Methodology::explore`](crate::methodology::Methodology::explore)
-//! re-derive designs the primary traversal already paid for). Since
 //! [`replay`](crate::trace::replay) is a pure function of
-//! `(trace, configuration)`, those duplicate replays can be served from a
-//! cache — that is what [`ReplayCache`] does.
+//! `(trace, configuration)`, so the engine memoises every score in one
+//! [`ReplayCache`]: one map, partitioned by [`TraceKey`], from a
+//! [`MemoKey`] to the replay's [`FootprintStats`]. Sharing one cache
+//! across traces (the per-phase sub-traces of
+//! [`explore_phases`](crate::methodology::Methodology::explore_phases),
+//! the shards of a sharded exploration, repeated designs in a bench
+//! harness) only ever adds hits.
 //!
-//! Keys are structural: the twelve decided leaves plus the quantitative
-//! [`Params`] (the manager *name* is display-only and deliberately
-//! excluded), paired with a fingerprint of the trace so one cache can be
-//! shared across traces (e.g. across the per-phase sub-traces of
-//! [`explore_phases`](crate::methodology::Methodology::explore_phases), or
-//! across repeated designs in a bench harness).
+//! [`MemoKey::of`] is the one key function. It keys a configuration two
+//! ways, and an engine uses one of them for its whole life:
 //!
-//! # Why an exhaustive sweep has `cache_hits: 0` on structural keys
-//!
-//! The structural cache only pays off when the *same* `(trace, config)`
-//! pair is evaluated twice — which the greedy traversal and the portfolio
-//! probes do constantly, but an exhaustive branch-and-bound sweep never
-//! does: [`SpaceIter`](crate::space::enumerate::SpaceIter) enumerates each
-//! coherent configuration exactly once, and pruned candidates skip the
-//! cache entirely. The committed full-sweep telemetry in
-//! `BENCH_replay.json` therefore reports `cache_hits: 0` by construction
-//! (the `replay_hot` bench asserts this invariant). Collapsing the sweep
-//! needs a *coarser* equivalence than structural identity — that is what
-//! [`ProjectedKey`] provides.
+//! - **Exact** ([`ConfigKey`], projection off): the twelve decided leaves
+//!   plus the quantitative [`Params`]; the manager *name* is display-only
+//!   and excluded. The greedy traversal hits constantly (the winning
+//!   completion at tree *k* reappears verbatim as the preferred default at
+//!   tree *k+1*, and the portfolio probes of
+//!   [`Methodology::explore`](crate::methodology::Methodology::explore)
+//!   re-derive designs the primary traversal already paid for). An
+//!   exhaustive sweep never hits:
+//!   [`SpaceIter`](crate::space::enumerate::SpaceIter) enumerates each
+//!   coherent configuration once, so the committed full-sweep telemetry in
+//!   `BENCH_replay.json` reports `cache_hits: 0` by construction (the
+//!   `replay_hot` bench asserts it).
+//! - **Projected** ([`ProjectedKey`], projection on): behavioural identity
+//!   on one trace, the coarser equivalence that does collapse a sweep.
 //!
 //! # Trace-conditioned config projection
 //!
@@ -43,11 +39,10 @@
 //! needed to decide reachability — the per-size allocation census and
 //! whether the trace frees at all — and [`ProjectedKey::of`] canonicalizes
 //! a configuration against them, so behaviourally-identical candidates
-//! collapse to one projected cache entry ([`ReplayCache::get_projected`]).
-//! Soundness (equal projected key ⇒ bit-identical
-//! [`FootprintStats`]) is argued rule-by-rule on [`ProjectedKey::of`],
-//! enforced in debug builds by the engine's shadow oracle, and
-//! proptested across presets × flat/phased/re-entrant traces.
+//! collapse to one memo entry. Soundness (equal projected key ⇒
+//! bit-identical [`FootprintStats`]) is argued rule-by-rule on
+//! [`ProjectedKey::of`], enforced in debug builds by the engine's shadow
+//! oracle, and proptested across presets × flat/phased/re-entrant traces.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -311,13 +306,34 @@ impl ProjectedKey {
     }
 }
 
-/// A thread-safe memo table from `(trace, configuration)` to the replay's
-/// [`FootprintStats`].
+/// The memo key of a configuration on one trace: what two candidates must
+/// share for one's replay to serve the other.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum MemoKey {
+    /// Exact structural identity (name excluded).
+    Exact(ConfigKey),
+    /// Behavioural identity on the trace the projection was taken of.
+    Projected(ProjectedKey),
+}
+
+impl MemoKey {
+    /// The key of `cfg`: projected against `projection` when one is given,
+    /// structural otherwise.
+    pub fn of(cfg: &DmConfig, projection: Option<&TraceProjection>) -> MemoKey {
+        match projection {
+            Some(projection) => MemoKey::Projected(ProjectedKey::of(cfg, projection)),
+            None => MemoKey::Exact(ConfigKey::of(cfg)),
+        }
+    }
+}
+
+/// A thread-safe memo table from `(trace, memo key)` to the replay's
+/// [`FootprintStats`], partitioned by trace so a lookup borrows its key.
 ///
 /// # Examples
 ///
 /// ```
-/// use dmm_core::methodology::cache::ReplayCache;
+/// use dmm_core::methodology::cache::{MemoKey, ReplayCache, TraceKey};
 /// use dmm_core::manager::PolicyAllocator;
 /// use dmm_core::space::presets;
 /// use dmm_core::trace::{replay, Trace};
@@ -330,23 +346,17 @@ impl ProjectedKey {
 ///
 /// let cache = ReplayCache::new();
 /// let cfg = presets::drr_paper();
-/// assert!(cache.get(&trace, &cfg).is_none());
+/// let (tk, key) = (TraceKey::of(&trace), MemoKey::of(&cfg, None));
+/// assert!(cache.get(tk, &key).is_none());
 /// let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone())?)?;
-/// cache.insert(&trace, &cfg, fs.clone());
-/// assert_eq!(cache.get(&trace, &cfg), Some(fs));
+/// cache.insert(tk, key.clone(), fs.clone());
+/// assert_eq!(cache.get(tk, &key), Some(fs));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct ReplayCache {
-    map: Mutex<HashMap<(TraceKey, ConfigKey), FootprintStats>>,
-    /// The projected tier: one entry per behavioural equivalence class
-    /// (trace-conditioned), shared by every structural member of the
-    /// class. Kept separate from the structural map so the exact-identity
-    /// contract of [`ReplayCache::get`] is untouched. Partitioned by trace
-    /// first, so a lookup borrows its [`ProjectedKey`] instead of cloning
-    /// it into a tuple key.
-    projected: Mutex<HashMap<TraceKey, HashMap<ProjectedKey, FootprintStats>>>,
+    map: Mutex<HashMap<TraceKey, HashMap<MemoKey, FootprintStats>>>,
 }
 
 impl ReplayCache {
@@ -355,44 +365,13 @@ impl ReplayCache {
         ReplayCache::default()
     }
 
-    /// Cached replay statistics of `cfg` on `trace`, if present.
+    /// The memoised replay statistics under `key` on `trace`, if any.
     ///
-    /// The returned statistics carry the *cached* manager name; callers
-    /// that care about labels should restore their own (the engine does).
-    pub fn get(&self, trace: &Trace, cfg: &DmConfig) -> Option<FootprintStats> {
-        self.get_keyed(TraceKey::of(trace), cfg)
-    }
-
-    /// Like [`ReplayCache::get`] with a precomputed [`TraceKey`] (avoids
-    /// re-hashing the trace for every candidate of one tree).
-    pub fn get_keyed(&self, trace: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
+    /// The returned statistics carry the manager name of the candidate that
+    /// was replayed; callers that care about labels restore their own (the
+    /// engine does).
+    pub fn get(&self, trace: TraceKey, key: &MemoKey) -> Option<FootprintStats> {
         self.map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&(trace, ConfigKey::of(cfg)))
-            .cloned()
-    }
-
-    /// Record the replay statistics of `cfg` on `trace`.
-    pub fn insert(&self, trace: &Trace, cfg: &DmConfig, stats: FootprintStats) {
-        self.insert_keyed(TraceKey::of(trace), cfg, stats);
-    }
-
-    /// Like [`ReplayCache::insert`] with a precomputed [`TraceKey`].
-    pub fn insert_keyed(&self, trace: TraceKey, cfg: &DmConfig, stats: FootprintStats) {
-        self.map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert((trace, ConfigKey::of(cfg)), stats);
-    }
-
-    /// Cached replay statistics of a projected equivalence class, if any
-    /// member of the class was replayed on this trace before.
-    ///
-    /// As with [`ReplayCache::get`], the returned statistics carry the
-    /// *cached* member's manager name; callers restore their own.
-    pub fn get_projected(&self, trace: TraceKey, key: &ProjectedKey) -> Option<FootprintStats> {
-        self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .get(&trace)?
@@ -400,9 +379,9 @@ impl ReplayCache {
             .cloned()
     }
 
-    /// Record the replay statistics of a projected equivalence class.
-    pub fn insert_projected(&self, trace: TraceKey, key: ProjectedKey, stats: FootprintStats) {
-        self.projected
+    /// Memoise the replay statistics under `key` on `trace`.
+    pub fn insert(&self, trace: TraceKey, key: MemoKey, stats: FootprintStats) {
+        self.map
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .entry(trace)
@@ -410,19 +389,14 @@ impl ReplayCache {
             .insert(key, stats);
     }
 
-    /// Number of memoised projected equivalence classes.
-    pub fn projected_len(&self) -> usize {
-        self.projected
+    /// Number of memoised replays.
+    pub fn len(&self) -> usize {
+        self.map
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .values()
             .map(HashMap::len)
             .sum()
-    }
-
-    /// Number of memoised replays.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     /// Whether the cache holds no entries.
@@ -447,18 +421,23 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn exact(cfg: &DmConfig) -> MemoKey {
+        MemoKey::of(cfg, None)
+    }
+
     #[test]
     fn name_is_excluded_from_the_key() {
         let trace = tiny_trace();
+        let tk = TraceKey::of(&trace);
         let cache = ReplayCache::new();
         let cfg = presets::drr_paper();
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert(&trace, &cfg, fs.clone());
+        cache.insert(tk, exact(&cfg), fs.clone());
 
         let mut renamed = cfg.clone();
         renamed.name = "same machinery, different label".into();
         assert_eq!(
-            cache.get(&trace, &renamed),
+            cache.get(tk, &exact(&renamed)),
             Some(fs),
             "a rename must not defeat memoisation"
         );
@@ -468,16 +447,17 @@ mod tests {
     #[test]
     fn different_configs_and_traces_miss() {
         let trace = tiny_trace();
+        let tk = TraceKey::of(&trace);
         let cache = ReplayCache::new();
         let cfg = presets::drr_paper();
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert(&trace, &cfg, fs);
+        cache.insert(tk, exact(&cfg), fs);
 
-        assert!(cache.get(&trace, &presets::kingsley_like()).is_none());
+        assert!(cache.get(tk, &exact(&presets::kingsley_like())).is_none());
         let mut reparam = presets::drr_paper();
         reparam.params.trim_threshold = None;
         assert!(
-            cache.get(&trace, &reparam).is_none(),
+            cache.get(tk, &exact(&reparam)).is_none(),
             "params are part of the structural key"
         );
 
@@ -485,7 +465,7 @@ mod tests {
         let a = b.alloc(101); // one byte different
         b.free(a);
         let other = b.finish().unwrap();
-        assert!(cache.get(&other, &presets::drr_paper()).is_none());
+        assert!(cache.get(TraceKey::of(&other), &exact(&cfg)).is_none());
     }
 
     fn alloc_only_trace() -> Trace {
@@ -613,18 +593,22 @@ mod tests {
         let proj = projection_of(&trace);
         let cache = ReplayCache::new();
         let cfg = presets::drr_paper();
-        let key = TraceKey::of(&trace);
-        let pk = ProjectedKey::of(&cfg, &proj);
-        assert!(cache.get_projected(key, &pk).is_none());
+        let tk = TraceKey::of(&trace);
+        let pk = MemoKey::of(&cfg, Some(&proj));
+        assert!(matches!(pk, MemoKey::Projected(_)));
+        assert!(cache.get(tk, &pk).is_none());
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert_projected(key, pk.clone(), fs.clone());
-        assert_eq!(cache.get_projected(key, &pk), Some(fs));
-        assert_eq!(cache.projected_len(), 1);
-        assert!(cache.is_empty(), "the structural tier is untouched");
+        cache.insert(tk, pk.clone(), fs.clone());
+        assert_eq!(cache.get(tk, &pk), Some(fs));
+        assert_eq!(cache.len(), 1);
+        assert!(
+            cache.get(tk, &exact(&cfg)).is_none(),
+            "an exact key never matches a projected one"
+        );
 
         let mut renamed = cfg.clone();
         renamed.name = "same machinery".into();
-        assert_eq!(pk, ProjectedKey::of(&renamed, &proj));
+        assert_eq!(pk, MemoKey::of(&renamed, Some(&proj)));
     }
 
     #[test]

@@ -1,30 +1,54 @@
-//! The exploration engine: memoised, optionally parallel candidate
-//! evaluation for the methodology.
+//! The exploration engine: one staged pipeline behind every candidate
+//! evaluation of the methodology.
 //!
 //! Every score the methodology needs is "replay this full configuration
-//! against this trace" — a pure function. The engine owns the
-//! [`ReplayCache`] that deduplicates those replays and the thread fan-out
-//! that runs distinct ones concurrently ([`std::thread::scope`]; no
-//! external dependencies). Results are returned **in input order**, so a
-//! caller that folds them sequentially gets bit-identical argmins and
-//! tie-breaks whether the engine ran with one job or many. Exhaustive
-//! sweeps speculate replays on the same workers and commit them in rank
-//! order (`methodology/window.rs`).
+//! against this trace" — a pure function. A candidate passes through at
+//! most five stages, and the first that settles it decides its fate:
 //!
-//! One engine may serve many explorations — the cache key includes a trace
-//! fingerprint, so sharing an engine across portfolio probes, phases,
-//! objective sweeps or repeated designs only ever *adds* cache hits.
+//! 1. **static prune** — a prune-safe lint proves that an
+//!    earlier-enumerated sibling replays bit-identically;
+//! 2. **bound prune** — its admissible footprint floor loses to the
+//!    incumbent ([`Incumbent::prunes`]);
+//! 3. **memo** — the [`ReplayCache`] holds its [`MemoKey`] on this trace
+//!    (the exact structural key, or with projection on the
+//!    trace-conditioned [`ProjectedKey`](crate::methodology::ProjectedKey));
+//! 4. **journal** — an attached checkpoint journal scored it in an
+//!    earlier run;
+//! 5. **replay** — a fresh replay under the engine's budget and fault
+//!    plan.
+//!
+//! The pipeline has two steps. `decide` picks the fate and writes
+//! nothing; `settle` is the only code that bumps a counter, publishes to
+//! the memo, appends to the journal or applies quarantine. The strict
+//! entry points ([`ExplorationEngine::evaluate_config`],
+//! [`ExplorationEngine::evaluate_all`]) switch the two prune stages off
+//! and propagate every failure; [`ExplorationEngine::evaluate_bounded`]
+//! runs all five, and in quarantine mode a panicking or over-budget
+//! replay becomes a counted skip. The exhaustive sweep
+//! (`methodology/window.rs`) calls the same two steps: it decides a
+//! window of the bound-ranked list, replays the window on worker threads
+//! and settles it in rank order.
+//!
+//! [`ExplorationEngine::evaluate_all`] fans distinct replays out over
+//! scoped threads ([`std::thread::scope`]; no external dependencies) and
+//! returns results **in input order**, so a caller that folds them
+//! sequentially gets bit-identical argmins and tie-breaks whether the
+//! engine ran with one job or many.
+//!
+//! One engine may serve many explorations: the memo is partitioned by
+//! trace fingerprint, so sharing an engine across portfolio probes,
+//! phases, objective sweeps or repeated designs only ever *adds* hits.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use crate::manager::PolicyAllocator;
-use crate::methodology::cache::{ProjectedKey, ReplayCache, TraceKey, TraceProjection};
+use crate::methodology::cache::{MemoKey, ReplayCache, TraceKey, TraceProjection};
 use crate::methodology::checkpoint::CheckpointJournal;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
@@ -50,14 +74,14 @@ pub struct EngineCounters {
     pub evaluations: usize,
     /// Full trace replays actually performed.
     pub replays: usize,
-    /// Evaluations served from the replay cache.
+    /// Evaluations served from the exact memo or the checkpoint journal.
     pub cache_hits: usize,
     /// Candidates rejected by a prune-safe static lint before any replay
-    /// (or cache lookup) was scheduled. Not counted in `evaluations`.
+    /// (or memo lookup) was scheduled. Not counted in `evaluations`.
     pub statically_pruned: usize,
     /// Candidates rejected by branch-and-bound: their admissible footprint
     /// floor ([`crate::analyze::lower_bound_peak`]) already exceeded the
-    /// incumbent's replayed peak, so neither a replay nor a cache lookup
+    /// incumbent's replayed peak, so neither a replay nor a memo lookup
     /// was scheduled. Not counted in `evaluations`.
     pub bound_pruned: usize,
     /// Candidates whose replay panicked and was quarantined (`EX001`) by a
@@ -68,12 +92,12 @@ pub struct EngineCounters {
     /// in quarantine mode — aborted and skipped instead of hanging a
     /// worker. Not counted in `evaluations`.
     pub budget_exceeded: usize,
-    /// Candidates served from the trace-conditioned projection tier of the
-    /// cache ([`ProjectedKey`]): a behaviorally-identical sibling was
-    /// already replayed on this trace, so the candidate's stats were
-    /// copied, not recomputed. Not counted in `evaluations` — the sweep
-    /// partition is `evaluations + projection_hits + statically_pruned +
-    /// bound_pruned + quarantined + budget_exceeded == enumerated`.
+    /// Candidates served from the memo under a projected key: a
+    /// behaviorally-identical sibling was already replayed on this trace,
+    /// so the candidate's stats were copied, not recomputed. Not counted
+    /// in `evaluations` — the sweep partition is `evaluations +
+    /// projection_hits + statically_pruned + bound_pruned + quarantined +
+    /// budget_exceeded == enumerated`.
     pub projection_hits: usize,
 }
 
@@ -127,12 +151,9 @@ impl Incumbent {
 pub struct Evaluation {
     /// Replay statistics of the configuration on the trace.
     pub stats: FootprintStats,
-    /// Whether the result came from the cache instead of a fresh replay.
+    /// Whether the result came from the memo or the journal instead of a
+    /// fresh replay.
     pub cache_hit: bool,
-    /// Whether the hit came from the trace-conditioned projection tier —
-    /// a behaviorally-identical (not structurally-identical) sibling's
-    /// replay was reused.
-    pub projected: bool,
 }
 
 /// Per-candidate replay budget specification, materialized into a
@@ -163,22 +184,122 @@ impl BudgetSpec {
     }
 }
 
+/// The optional stages of one evaluation. The default switches both
+/// prunes and quarantine off: a strict evaluation, memo → journal →
+/// replay.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Stages {
+    /// The static-prune verdict: a prune-safe lint skips the candidate.
+    /// The caller runs the lint (a sweep memoises it).
+    pruned: bool,
+    /// The bound stage: off without an incumbent.
+    incumbent: Option<Incumbent>,
+    /// The candidate's admissible floor.
+    bound: usize,
+    /// The candidate's enumeration index.
+    order: usize,
+    /// Whether quarantine mode may absorb a failed replay.
+    quarantine: bool,
+}
+
+impl Stages {
+    /// Every stage of a branch-and-bound sweep.
+    pub(super) fn sweep(
+        pruned: bool,
+        bound: usize,
+        order: usize,
+        incumbent: Option<Incumbent>,
+    ) -> Stages {
+        Stages {
+            pruned,
+            incumbent,
+            bound,
+            order,
+            quarantine: true,
+        }
+    }
+}
+
+/// A candidate's fate, as [`ExplorationEngine::decide`] picks it.
+#[derive(Debug)]
+pub(super) enum Decision {
+    /// A prune-safe lint skips the candidate.
+    StaticallyPruned,
+    /// The incumbent's bound skips the candidate.
+    BoundPruned,
+    /// The memo holds the candidate's key.
+    Memo(MemoKey, FootprintStats),
+    /// The journal scored the candidate in an earlier run.
+    Journal(MemoKey, FootprintStats),
+    /// A fresh replay, which quarantine may absorb if it fails.
+    Replay { key: MemoKey, quarantine: bool },
+}
+
+impl Decision {
+    /// What `decide` returns for a candidate that publishes, once another
+    /// candidate has published `stats` under the same key: a memo hit.
+    pub(super) fn served(self, stats: FootprintStats) -> Decision {
+        match self {
+            Decision::Journal(key, _) | Decision::Replay { key, .. } => Decision::Memo(key, stats),
+            settled => settled,
+        }
+    }
+}
+
+/// What the engine derives from one trace, each part on first use.
+#[derive(Debug, Default)]
+struct TraceEntry {
+    /// The compiled form: compiling is O(n) and hashes each id once, and
+    /// every replay of the trace runs the hash-free
+    /// [`replay_compiled_with`] kernel on it.
+    compiled: OnceLock<CompiledTrace>,
+    /// The projection [`MemoKey::of`] reads: one O(events)
+    /// [`crate::analyze::TraceFacts`] pass.
+    projection: OnceLock<TraceProjection>,
+}
+
+/// One trace as the pipeline sees it. Its entry in the engine's
+/// per-trace table is found (or added) on first use, so a candidate the
+/// prune stages skip never takes the table lock.
+#[derive(Debug)]
+pub(super) struct TraceCtx<'t> {
+    trace: &'t Trace,
+    key: TraceKey,
+    traces: &'t Mutex<HashMap<TraceKey, Arc<TraceEntry>>>,
+    entry: OnceLock<Arc<TraceEntry>>,
+}
+
+impl TraceCtx<'_> {
+    fn entry(&self) -> &TraceEntry {
+        self.entry.get_or_init(|| {
+            let mut traces = self.traces.lock().unwrap_or_else(|p| p.into_inner());
+            Arc::clone(traces.entry(self.key).or_default())
+        })
+    }
+
+    /// The compiled trace, compiled on first use.
+    pub(super) fn compiled(&self) -> &CompiledTrace {
+        self.entry()
+            .compiled
+            .get_or_init(|| CompiledTrace::compile(self.trace))
+    }
+
+    fn projection(&self) -> &TraceProjection {
+        self.entry()
+            .projection
+            .get_or_init(|| TraceProjection::of(&crate::analyze::TraceFacts::of(self.trace)))
+    }
+}
+
 /// Memoised, parallel evaluator shared by every exploration entry point.
 #[derive(Debug)]
 pub struct ExplorationEngine {
     jobs: usize,
     cache: ReplayCache,
-    /// Compiled form of every trace this engine has replayed, keyed like
-    /// the replay cache. Compiling is O(n) and hashes each id once; every
-    /// subsequent replay of that trace — hundreds per `explore` — runs the
-    /// hash-free [`replay_compiled_with`] kernel instead.
-    compiled: Mutex<HashMap<TraceKey, Arc<CompiledTrace>>>,
-    /// Trace-conditioned projection of every trace this engine has swept
-    /// with projection enabled, keyed like `compiled`. Deriving one is a
-    /// single O(events) [`crate::analyze::TraceFacts`] pass; every
-    /// candidate of every subsequent sweep reuses it to compute its
-    /// [`ProjectedKey`] in O(1).
-    projections: Mutex<HashMap<TraceKey, Arc<TraceProjection>>>,
+    /// Every trace this engine has evaluated against. The table lock is
+    /// held only to find or add an entry, so workers first-touching
+    /// *distinct* traces (sharded exploration does) compile in parallel.
+    traces: Mutex<HashMap<TraceKey, Arc<TraceEntry>>>,
     evaluations: AtomicUsize,
     replays: AtomicUsize,
     cache_hits: AtomicUsize,
@@ -188,22 +309,21 @@ pub struct ExplorationEngine {
     quarantined: AtomicUsize,
     budget_exceeded: AtomicUsize,
     /// Worker threads currently spawned by [`ExplorationEngine::run_parallel`]
-    /// across all nesting levels — the shared budget that keeps
-    /// phases × hypotheses × candidates from multiplying thread counts.
+    /// and the windowed sweep across all nesting levels — the shared
+    /// budget that keeps phases × hypotheses × candidates from multiplying
+    /// thread counts.
     spawned: AtomicUsize,
-    /// Quarantine mode: sweep entry points skip (instead of propagate)
+    /// Quarantine mode: the sweep stages skip (instead of propagate)
     /// candidates that panic or run out of budget.
     quarantine: bool,
-    /// Trace-conditioned config projection: sweep entry points collapse
-    /// candidates whose [`ProjectedKey`] matches an already-replayed
-    /// sibling into a copied result ([`EngineCounters::projection_hits`]).
+    /// Trace-conditioned config projection: memo keys are projected.
     projection: bool,
     /// Per-candidate replay budget, enforced inside the compiled kernel.
     budget: BudgetSpec,
     /// Injected faults (tests only; `None` in production).
     fault_plan: Option<FaultPlan>,
     /// Attached checkpoint journal: fresh replays are journalled, journal
-    /// hits short-circuit replays exactly like cache hits.
+    /// hits short-circuit replays exactly like memo hits.
     journal: Option<CheckpointJournal>,
 }
 
@@ -228,8 +348,7 @@ impl ExplorationEngine {
         ExplorationEngine {
             jobs,
             cache: ReplayCache::new(),
-            compiled: Mutex::new(HashMap::new()),
-            projections: Mutex::new(HashMap::new()),
+            traces: Mutex::new(HashMap::new()),
             evaluations: AtomicUsize::new(0),
             replays: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
@@ -247,48 +366,29 @@ impl ExplorationEngine {
         }
     }
 
-    /// Enable/disable quarantine mode: with it on, the sweep entry points
-    /// ([`ExplorationEngine::evaluate_pruned`],
-    /// [`ExplorationEngine::evaluate_bounded`]) *skip* candidates that
-    /// panic ([`EngineCounters::quarantined`], `EX001`) or exceed their
-    /// replay budget ([`EngineCounters::budget_exceeded`], `EX002`)
-    /// instead of failing the whole sweep. All other errors still
-    /// propagate, and the strict entry points
-    /// ([`ExplorationEngine::evaluate_all`] and friends) always propagate
-    /// everything — a greedy traversal needs every score it asks for.
-    pub fn set_quarantine(&mut self, on: bool) {
-        self.quarantine = on;
-    }
-
-    /// Builder form of [`ExplorationEngine::set_quarantine`].
+    /// Quarantine mode: with it on, the sweep stages
+    /// ([`ExplorationEngine::evaluate_bounded`] and the exhaustive sweep)
+    /// *skip* candidates that panic ([`EngineCounters::quarantined`],
+    /// `EX001`) or exceed their replay budget
+    /// ([`EngineCounters::budget_exceeded`], `EX002`) instead of failing
+    /// the whole sweep. All other errors still propagate, and the strict
+    /// entry points ([`ExplorationEngine::evaluate_all`],
+    /// [`ExplorationEngine::evaluate_config`]) always propagate everything
+    /// — a greedy traversal needs every score it asks for.
     #[must_use]
     pub fn with_quarantine(mut self, on: bool) -> Self {
         self.quarantine = on;
         self
     }
 
-    /// Whether quarantine mode is on.
-    pub fn quarantine(&self) -> bool {
-        self.quarantine
-    }
-
-    /// Enable/disable trace-conditioned config projection on the sweep
-    /// path ([`ExplorationEngine::evaluate_bounded`] and the windowed
-    /// sweep of [`exhaustive_best_with_engine`](crate::methodology::exhaustive_best_with_engine)):
-    /// candidates whose [`ProjectedKey`] matches an already-replayed
-    /// sibling are served a copy of that sibling's stats — counted in
+    /// Trace-conditioned config projection: memo keys become
+    /// [`ProjectedKey`](crate::methodology::ProjectedKey)s, so a candidate
+    /// whose key matches an already-replayed sibling is served a copy of
+    /// that sibling's stats — counted in
     /// [`EngineCounters::projection_hits`], never in `evaluations` — and
     /// in debug builds every served copy is checked against a fresh
-    /// shadow replay (the soundness oracle). With projection on, the
-    /// sweep path memoises in the projected tier only. The greedy/strict
-    /// entry points never project: their callers compare candidates by
-    /// name, not by enumeration order, and the replays are few; they keep
-    /// the structural tier.
-    pub fn set_projection(&mut self, on: bool) {
-        self.projection = on;
-    }
-
-    /// Builder form of [`ExplorationEngine::set_projection`].
+    /// shadow replay (the soundness oracle). With projection off, memo
+    /// keys are exact structural identity, name excluded.
     #[must_use]
     pub fn with_projection(mut self, on: bool) -> Self {
         self.projection = on;
@@ -300,13 +400,8 @@ impl ExplorationEngine {
         self.projection
     }
 
-    /// Set the per-candidate replay budget (applies to every subsequent
-    /// fresh replay; cache and journal hits are free and never budgeted).
-    pub fn set_budget(&mut self, budget: BudgetSpec) {
-        self.budget = budget;
-    }
-
-    /// Builder form of [`ExplorationEngine::set_budget`].
+    /// Set the per-candidate replay budget (applies to every fresh
+    /// replay; memo and journal hits are free and never budgeted).
     #[must_use]
     pub fn with_budget(mut self, budget: BudgetSpec) -> Self {
         self.budget = budget;
@@ -316,11 +411,6 @@ impl ExplorationEngine {
     /// Install a deterministic fault plan (tests only): panics and budget
     /// exhaustion injected per candidate fingerprint, shard deaths per
     /// shard index.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
-    }
-
-    /// Builder form of [`ExplorationEngine::set_fault_plan`].
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -335,14 +425,9 @@ impl ExplorationEngine {
 
     /// Attach a checkpoint journal: every fresh replay is journalled
     /// (append + flush), and candidates the journal already scored are
-    /// served from it like cache hits — so a killed sweep, resumed with
+    /// served from it like memo hits — so a killed sweep, resumed with
     /// the same journal, skips all completed work and still produces a
     /// bit-identical winner.
-    pub fn set_journal(&mut self, journal: CheckpointJournal) {
-        self.journal = Some(journal);
-    }
-
-    /// Builder form of [`ExplorationEngine::set_journal`].
     #[must_use]
     pub fn with_journal(mut self, journal: CheckpointJournal) -> Self {
         self.journal = Some(journal);
@@ -378,126 +463,55 @@ impl ExplorationEngine {
         }
     }
 
-    /// Candidates this engine rejected statically — a prune-safe lint
-    /// ([`crate::analyze::prune_reason`]) proved an earlier-enumerated
-    /// sibling replays bit-identically, so no replay was scheduled.
-    pub fn statically_pruned(&self) -> usize {
-        self.statically_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Candidates this engine rejected by branch-and-bound — their
-    /// admissible footprint floor already lost to the incumbent's replayed
-    /// peak, so no replay or cache lookup was scheduled
-    /// (see [`ExplorationEngine::evaluate_bounded`]).
-    pub fn bound_pruned(&self) -> usize {
-        self.bound_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Candidates this engine served from the projection tier — a
-    /// behaviorally-identical sibling under this trace was already
-    /// replayed, so the stats were copied instead of recomputed
-    /// (see [`ExplorationEngine::set_projection`]).
-    pub fn projection_hits(&self) -> usize {
-        self.projection_hits.load(Ordering::Relaxed)
-    }
-
-    /// The engine's replay cache (for diagnostics/tests).
+    /// The engine's memo (for diagnostics/tests).
     pub fn cache(&self) -> &ReplayCache {
         &self.cache
     }
 
-    /// Evaluate every configuration against `trace`, memoised and fanned
-    /// out over the engine's jobs. The result vector is **in input
-    /// order**; on failure the error of the earliest failing input is
-    /// returned, exactly as a serial loop would surface it.
+    /// Evaluate every configuration against `trace` (whose key is `key`:
+    /// a caller scoring many candidate sets against one trace, as the
+    /// greedy traversal does once per tree, hashes it once), strictly,
+    /// memoised and fanned out over the engine's jobs. The result vector
+    /// is **in input order**; on failure the error of the earliest
+    /// failing input is returned, exactly as a serial loop would surface
+    /// it.
     ///
     /// # Errors
     ///
     /// Propagates manager construction and replay failures.
-    pub fn evaluate_all(&self, trace: &Trace, cfgs: &[DmConfig]) -> Result<Vec<Evaluation>> {
-        self.evaluate_all_keyed(trace, TraceKey::of(trace), cfgs)
-    }
-
-    /// Like [`ExplorationEngine::evaluate_all`] with a precomputed
-    /// [`TraceKey`], so a caller evaluating many candidate sets against
-    /// one trace (the greedy traversal does, once per tree) hashes the
-    /// trace once instead of per call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures.
-    pub fn evaluate_all_keyed(
+    pub fn evaluate_all(
         &self,
         trace: &Trace,
         key: TraceKey,
         cfgs: &[DmConfig],
     ) -> Result<Vec<Evaluation>> {
-        let results = self.run_parallel(cfgs, |cfg| self.evaluate_one(trace, key, cfg));
+        let ctx = self.trace_ctx(trace, key);
+        let results = self.run_parallel(cfgs, |cfg| self.evaluate_strict(&ctx, cfg));
         results.into_iter().collect()
     }
 
-    /// Evaluate a single configuration against `trace`, memoised under the
-    /// trace's own fingerprint. Sharded exploration leans on this: each
-    /// shard is its own cache partition, so replaying the merged design
-    /// over a shard whose exploration already scored that configuration is
-    /// a cache hit, not a second replay.
+    /// Evaluate a single configuration against `trace`, strictly and
+    /// memoised under the trace's own fingerprint. Sharded exploration
+    /// leans on this: each shard is its own memo partition, so replaying
+    /// the merged design over a shard whose exploration already scored
+    /// that configuration is a memo hit, not a second replay.
     ///
     /// # Errors
     ///
     /// Propagates manager construction and replay failures.
     pub fn evaluate_config(&self, trace: &Trace, cfg: &DmConfig) -> Result<Evaluation> {
-        self.evaluate_one(trace, TraceKey::of(trace), cfg)
+        self.evaluate_strict(&self.trace_ctx(trace, TraceKey::of(trace)), cfg)
     }
 
-    /// Like [`ExplorationEngine::evaluate_config`] with a precomputed
-    /// [`TraceKey`], so a caller that also needs the key for its own
-    /// bookkeeping (e.g. to release the compiled trace afterwards)
-    /// fingerprints the trace once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures.
-    pub fn evaluate_config_keyed(
-        &self,
-        trace: &Trace,
-        key: TraceKey,
-        cfg: &DmConfig,
-    ) -> Result<Evaluation> {
-        self.evaluate_one(trace, key, cfg)
-    }
-
-    /// Like [`ExplorationEngine::evaluate_config_keyed`], but first asks
-    /// the static analyser for a **prune-safe** dominance reason. If one
-    /// fires, the candidate is skipped — `Ok(None)` — and counted in
-    /// [`ExplorationEngine::statically_pruned`] instead of scheduling a
-    /// replay. Prune-safe lints only fire when an earlier-enumerated
-    /// sibling replays bit-identically, so an exhaustive fold that keeps
-    /// the first-seen minimum is unaffected by the skips.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures of candidates
-    /// that were *not* pruned.
-    pub fn evaluate_pruned(
-        &self,
-        trace: &Trace,
-        key: TraceKey,
-        cfg: &DmConfig,
-    ) -> Result<Option<Evaluation>> {
-        if crate::analyze::prune_reason(cfg).is_some() {
-            self.count_static();
-            return Ok(None);
-        }
-        self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))
-    }
-
-    /// Branch-and-bound evaluation: [`ExplorationEngine::evaluate_pruned`]
-    /// plus an admission test against the incumbent's **actual** replayed
-    /// peak. A candidate whose admissible footprint floor (`bound`, from
+    /// Branch-and-bound evaluation: every stage of the pipeline. A
+    /// candidate a prune-safe lint skips ([`crate::analyze::prune_reason`],
+    /// counted in [`EngineCounters::statically_pruned`]) or whose
+    /// admissible footprint floor (`bound`, from
     /// [`crate::analyze::lower_bound_peak`]) already loses
-    /// ([`Incumbent::prunes`]) is skipped — `Ok(None)` — and counted in
-    /// [`ExplorationEngine::bound_pruned`], with no replay *or cache
-    /// lookup* scheduled.
+    /// ([`Incumbent::prunes`], counted in [`EngineCounters::bound_pruned`])
+    /// is skipped — `Ok(None)` — with no replay *or memo lookup*
+    /// scheduled. In quarantine mode, so is a candidate whose replay
+    /// panics or exceeds its budget.
     ///
     /// "Loses" is exact, not merely strict: with `bound > incumbent.peak`
     /// the candidate's peak can only be worse; with `bound ==
@@ -508,8 +522,9 @@ impl ExplorationEngine {
     /// [`exhaustive_best`](crate::methodology::exhaustive_best)
     /// bit-identical, whatever order candidates are presented in.
     ///
-    /// Composed over a bound-ranked list with the incumbent folded after
-    /// every call, this is exactly what the windowed sweep of
+    /// Every call moves the counters of exactly one fate. Composed over a
+    /// bound-ranked list with the incumbent folded after every call, this
+    /// is exactly what the windowed sweep of
     /// [`exhaustive_best_with_engine`](crate::methodology::exhaustive_best_with_engine)
     /// computes: same winner, same [`EngineCounters`], same journal bytes.
     ///
@@ -526,153 +541,154 @@ impl ExplorationEngine {
         order: usize,
         incumbent: Option<Incumbent>,
     ) -> Result<Option<Evaluation>> {
-        if crate::analyze::prune_reason(cfg).is_some() {
-            self.count_static();
-            return Ok(None);
-        }
-        if incumbent.is_some_and(|inc| inc.prunes(bound, order)) {
-            self.count_bound();
-            return Ok(None);
-        }
-        if self.projection {
-            return self.quarantine_or_raise(self.evaluate_projected(trace, key, cfg));
-        }
-        self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))
+        let pruned = crate::analyze::prune_reason(cfg).is_some();
+        let stages = Stages::sweep(pruned, bound, order, incumbent);
+        self.evaluate(&self.trace_ctx(trace, key), cfg, stages)
     }
 
-    /// The sweep path with projection on: projected tier → journal →
-    /// fresh replay, publishing to the projected tier only. The structural
-    /// tier never hits on a sweep (each configuration is enumerated once),
-    /// so keying it would only cost a [`crate::methodology::cache::ConfigKey`]
-    /// per candidate.
-    pub(super) fn evaluate_projected(
+    /// Decide and settle one candidate, replaying it here if need be.
+    fn evaluate(
         &self,
-        trace: &Trace,
-        key: TraceKey,
+        ctx: &TraceCtx<'_>,
         cfg: &DmConfig,
-    ) -> Result<Evaluation> {
-        let pkey = ProjectedKey::of(cfg, &self.projection_for(key, trace));
-        if let Some(stats) = self.cache.get_projected(key, &pkey) {
-            return Ok(self.projection_hit(trace, key, cfg, stats));
-        }
-        if let Some(stats) = self.journal_lookup(key, cfg) {
-            self.publish(key, cfg, Some(pkey), stats.clone());
-            return Ok(self.cache_hit(cfg, stats));
-        }
-        let stats = self.replay_fresh(&self.compiled_for(key, trace), cfg)?;
-        self.commit_replay(key, cfg, Some(pkey), stats)
-    }
-
-    /// Count a projection-tier hit and relabel the copied stats. In debug
-    /// builds the copy is checked against a fresh shadow replay.
-    pub(super) fn projection_hit(
-        &self,
-        trace: &Trace,
-        key: TraceKey,
-        cfg: &DmConfig,
-        stats: FootprintStats,
-    ) -> Evaluation {
-        self.projection_hits.fetch_add(1, Ordering::Relaxed);
-        let stats = relabel(stats, cfg);
-        self.shadow_oracle_check(trace, key, cfg, &stats);
-        Evaluation {
-            stats,
-            cache_hit: true,
-            projected: true,
-        }
-    }
-
-    /// Count a structural-tier or journal hit (an evaluation without a
-    /// replay) and relabel the stats.
-    pub(super) fn cache_hit(&self, cfg: &DmConfig, stats: FootprintStats) -> Evaluation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        Evaluation {
-            stats: relabel(stats, cfg),
-            cache_hit: true,
-            projected: false,
-        }
-    }
-
-    /// Count a successful fresh replay, publish it to the projected tier
-    /// under `pkey` (or the structural tier when `None`) and append it to
-    /// the journal.
-    ///
-    /// # Errors
-    ///
-    /// Journal write failures.
-    pub(super) fn commit_replay(
-        &self,
-        key: TraceKey,
-        cfg: &DmConfig,
-        pkey: Option<ProjectedKey>,
-        stats: FootprintStats,
-    ) -> Result<Evaluation> {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.replays.fetch_add(1, Ordering::Relaxed);
-        self.publish(key, cfg, pkey, stats.clone());
-        if let Some(journal) = &self.journal {
-            journal.record(key.fingerprint(), key.events(), cfg.fingerprint(), &stats)?;
-        }
-        Ok(Evaluation {
-            stats,
-            cache_hit: false,
-            projected: false,
+        stages: Stages,
+    ) -> Result<Option<Evaluation>> {
+        let decision = self.decide(ctx, cfg, stages);
+        self.settle(ctx, Some(cfg), decision, || {
+            self.replay_fresh(ctx.compiled(), cfg)
         })
     }
 
-    /// Memoise `stats` under `pkey` in the projected tier, or under the
-    /// configuration's structural key when `pkey` is `None`.
-    pub(super) fn publish(
-        &self,
-        key: TraceKey,
-        cfg: &DmConfig,
-        pkey: Option<ProjectedKey>,
-        stats: FootprintStats,
-    ) {
-        match pkey {
-            Some(pkey) => self.cache.insert_projected(key, pkey, stats),
-            None => self.cache.insert_keyed(key, cfg, stats),
+    fn evaluate_strict(&self, ctx: &TraceCtx<'_>, cfg: &DmConfig) -> Result<Evaluation> {
+        let eval = self.evaluate(ctx, cfg, Stages::default())?;
+        Ok(eval.expect("strict stages skip no candidate"))
+    }
+
+    /// Pick `cfg`'s fate: the first stage that settles it. Reads the memo
+    /// and the journal, writes nothing. The name of `cfg` is not read.
+    pub(super) fn decide(&self, ctx: &TraceCtx<'_>, cfg: &DmConfig, stages: Stages) -> Decision {
+        if stages.pruned {
+            return Decision::StaticallyPruned;
+        }
+        if let Some(incumbent) = stages.incumbent {
+            if incumbent.prunes(stages.bound, stages.order) {
+                return Decision::BoundPruned;
+            }
+        }
+        let key = MemoKey::of(cfg, self.projection.then(|| ctx.projection()));
+        if let Some(stats) = self.cache.get(ctx.key, &key) {
+            return Decision::Memo(key, stats);
+        }
+        let journalled = self.journal.as_ref().and_then(|journal| {
+            journal.lookup(ctx.key.fingerprint(), ctx.key.events(), cfg.fingerprint())
+        });
+        match journalled {
+            Some(stats) => Decision::Journal(key, stats),
+            None => Decision::Replay {
+                key,
+                quarantine: stages.quarantine && self.quarantine,
+            },
         }
     }
 
-    /// The journalled stats of `cfg` on this trace, if a previous run
-    /// recorded them.
-    pub(super) fn journal_lookup(&self, key: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
-        self.journal
-            .as_ref()?
-            .lookup(key.fingerprint(), key.events(), cfg.fingerprint())
-    }
-
-    /// Count a candidate a prune-safe lint skipped.
-    pub(super) fn count_static(&self) {
-        self.statically_pruned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a candidate the incumbent bound-pruned.
-    pub(super) fn count_bound(&self) {
-        self.bound_pruned.fetch_add(1, Ordering::Relaxed);
+    /// Carry out `decision`: count the fate, publish a journal hit or a
+    /// fresh replay (which `replay` runs) to the memo, journal the replay,
+    /// and in quarantine mode turn a panicking (`EX001`) or over-budget
+    /// (`EX002`) replay into a counted skip. This is the only code that
+    /// writes counters, the memo or the journal, so every evaluation keeps
+    /// the partition `evaluations + projection_hits + statically_pruned +
+    /// bound_pruned + quarantined + budget_exceeded == enumerated`.
+    /// `cfg` is the candidate, named; it may be `None` for a skip.
+    ///
+    /// # Errors
+    ///
+    /// Replay failures quarantine does not absorb, and journal write
+    /// failures.
+    pub(super) fn settle(
+        &self,
+        ctx: &TraceCtx<'_>,
+        cfg: Option<&DmConfig>,
+        decision: Decision,
+        replay: impl FnOnce() -> Result<FootprintStats>,
+    ) -> Result<Option<Evaluation>> {
+        let count = |counter: &AtomicUsize| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        };
+        let served = match decision {
+            Decision::StaticallyPruned => {
+                count(&self.statically_pruned);
+                return Ok(None);
+            }
+            Decision::BoundPruned => {
+                count(&self.bound_pruned);
+                return Ok(None);
+            }
+            Decision::Memo(MemoKey::Projected(_), stats) => {
+                count(&self.projection_hits);
+                let cfg = cfg.expect("a served candidate is named");
+                let stats = relabel(stats, cfg);
+                self.shadow_oracle_check(ctx, cfg, &stats);
+                return Ok(Some(Evaluation {
+                    stats,
+                    cache_hit: true,
+                }));
+            }
+            Decision::Memo(MemoKey::Exact(_), stats) => stats,
+            Decision::Journal(key, stats) => {
+                self.cache.insert(ctx.key, key, stats.clone());
+                stats
+            }
+            Decision::Replay { key, quarantine } => match replay() {
+                Ok(stats) => {
+                    count(&self.evaluations);
+                    count(&self.replays);
+                    self.cache.insert(ctx.key, key, stats.clone());
+                    if let Some(journal) = &self.journal {
+                        let fingerprint = cfg.expect("a replayed candidate is named").fingerprint();
+                        journal.record(
+                            ctx.key.fingerprint(),
+                            ctx.key.events(),
+                            fingerprint,
+                            &stats,
+                        )?;
+                    }
+                    return Ok(Some(Evaluation {
+                        stats,
+                        cache_hit: false,
+                    }));
+                }
+                Err(Error::CandidatePanicked { .. }) if quarantine => {
+                    count(&self.quarantined);
+                    return Ok(None);
+                }
+                Err(Error::BudgetExceeded { .. }) if quarantine => {
+                    count(&self.budget_exceeded);
+                    return Ok(None);
+                }
+                Err(e) => return Err(e),
+            },
+        };
+        count(&self.evaluations);
+        count(&self.cache_hits);
+        Ok(Some(Evaluation {
+            stats: relabel(served, cfg.expect("a served candidate is named")),
+            cache_hit: true,
+        }))
     }
 
     /// The projection soundness oracle (debug builds only): any stats
-    /// served off a [`ProjectedKey`] match must be **bit-identical** to a
-    /// fresh, uncounted replay of the candidate itself. A failure here is
-    /// a hole in a [`ProjectedKey::of`] canonicalization rule.
-    fn shadow_oracle_check(
-        &self,
-        trace: &Trace,
-        key: TraceKey,
-        cfg: &DmConfig,
-        served: &FootprintStats,
-    ) {
+    /// served off a projected key must be **bit-identical** to a fresh,
+    /// uncounted replay of the candidate itself. A failure here is a hole
+    /// in a [`ProjectedKey::of`](crate::methodology::ProjectedKey::of)
+    /// canonicalization rule.
+    fn shadow_oracle_check(&self, ctx: &TraceCtx<'_>, cfg: &DmConfig, served: &FootprintStats) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let compiled = self.compiled_for(key, trace);
         let mut mgr = PolicyAllocator::new(cfg.clone())
             .expect("shadow oracle: projected candidate must construct");
         let mut scratch = ReplayScratch::new();
-        let fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+        let fresh = replay_compiled_with(ctx.compiled(), &mut mgr, &mut scratch)
             .expect("shadow oracle: projected candidate must replay");
         assert_eq!(
             &relabel(fresh, cfg),
@@ -682,50 +698,9 @@ impl ExplorationEngine {
         );
     }
 
-    /// The sweep entry points' failure policy. In quarantine mode a
-    /// panicking (`EX001`) or over-budget (`EX002`) candidate becomes a
-    /// counted skip — `Ok(None)` — keeping the partition invariant
-    /// `evaluations + projection_hits + statically_pruned + bound_pruned +
-    /// quarantined + budget_exceeded == enumerated`. Everything else (and
-    /// everything, with quarantine off) propagates.
-    pub(super) fn quarantine_or_raise(
-        &self,
-        result: Result<Evaluation>,
-    ) -> Result<Option<Evaluation>> {
-        match result {
-            Ok(e) => Ok(Some(e)),
-            Err(e) if !self.quarantine => Err(e),
-            Err(Error::CandidatePanicked { .. }) => {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-            Err(Error::BudgetExceeded { .. }) => {
-                self.budget_exceeded.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Evaluate one candidate on the structural tier: cache → journal →
-    /// fresh replay. Counters are bumped only on success, so failed
-    /// candidates can be re-attributed (quarantined, over budget) by the
-    /// caller without breaking the partition invariant.
-    fn evaluate_one(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> Result<Evaluation> {
-        if let Some(stats) = self.cache.get_keyed(key, cfg) {
-            return Ok(self.cache_hit(cfg, stats));
-        }
-        if let Some(stats) = self.journal_lookup(key, cfg) {
-            self.publish(key, cfg, None, stats.clone());
-            return Ok(self.cache_hit(cfg, stats));
-        }
-        let stats = self.replay_fresh(&self.compiled_for(key, trace), cfg)?;
-        self.commit_replay(key, cfg, None, stats)
-    }
-
     /// Replay `cfg` from scratch under the engine's budget and fault plan.
-    /// Pure: no counter, cache tier or journal is touched, so speculative
-    /// replays on worker threads can be dropped uncounted.
+    /// Pure: no counter, memo entry or journal record is written, so
+    /// speculative replays on worker threads can be dropped uncounted.
     ///
     /// # Errors
     ///
@@ -769,68 +744,34 @@ impl ExplorationEngine {
         })
     }
 
-    /// The trace-conditioned projection of `trace`, derived on first
-    /// sight; same lock discipline as [`ExplorationEngine::compiled_for`]
-    /// (the O(events) `TraceFacts` pass runs outside the table lock).
-    pub(super) fn projection_for(&self, key: TraceKey, trace: &Trace) -> Arc<TraceProjection> {
-        if let Some(hit) = self
-            .projections
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            return Arc::clone(hit);
+    /// `trace`, whose key is `key`, as the pipeline sees it.
+    pub(super) fn trace_ctx<'t>(&'t self, trace: &'t Trace, key: TraceKey) -> TraceCtx<'t> {
+        TraceCtx {
+            trace,
+            key,
+            traces: &self.traces,
+            entry: OnceLock::new(),
         }
-        let facts = crate::analyze::TraceFacts::of(trace);
-        let fresh = Arc::new(TraceProjection::of(&facts));
-        let mut table = self.projections.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(table.entry(key).or_insert(fresh))
     }
 
-    /// The compiled form of `trace`, compiling on first sight. Shared by
-    /// every worker; the `Arc` lets a replay run outside the table lock.
-    pub(super) fn compiled_for(&self, key: TraceKey, trace: &Trace) -> Arc<CompiledTrace> {
-        if let Some(hit) = self
-            .compiled
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            return Arc::clone(hit);
-        }
-        // Compile outside the lock: parallel workers first-touching
-        // *distinct* traces (sharded exploration does) must not serialize
-        // their O(n) compiles behind one mutex. A racing duplicate compile
-        // of the same trace is rare and harmless — the first insert wins.
-        let fresh = Arc::new(CompiledTrace::compile(trace));
-        let mut table = self.compiled.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(table.entry(key).or_insert(fresh))
-    }
-
-    /// Number of distinct traces this engine has compiled (diagnostic).
+    /// Number of distinct traces this engine holds compiled (diagnostic).
     pub fn compiled_traces(&self) -> usize {
-        self.compiled.lock().unwrap_or_else(|p| p.into_inner()).len()
+        let traces = self.traces.lock().unwrap_or_else(|p| p.into_inner());
+        traces
+            .values()
+            .filter(|e| e.compiled.get().is_some())
+            .count()
     }
 
-    /// Forget the compiled form of `trace`. The compiled copy is O(trace)
-    /// bytes, so streaming callers that promise trace memory bounded by
-    /// the largest shard ([`Methodology::explore_shard_stream`](crate::methodology::Methodology::explore_shard_stream))
-    /// release each shard's compilation as soon as they drop the shard —
-    /// otherwise the table would quietly accumulate the whole trace.
-    /// Safe at any time: a later evaluation of the same trace simply
-    /// recompiles.
-    pub fn release_compiled(&self, trace: &Trace) {
-        self.release_compiled_keyed(TraceKey::of(trace));
-    }
-
-    /// Like [`ExplorationEngine::release_compiled`] with a precomputed
-    /// [`TraceKey`], avoiding a second O(n) fingerprint of the trace.
-    pub fn release_compiled_keyed(&self, key: TraceKey) {
-        self.compiled
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&key);
-        self.projections
+    /// Forget what the engine derived from the trace keyed `key`: its
+    /// compiled form and projection. The compiled copy is O(trace) bytes,
+    /// so streaming callers that promise trace memory bounded by the
+    /// largest shard ([`Methodology::explore_shard_stream`](crate::methodology::Methodology::explore_shard_stream))
+    /// release each shard as soon as they drop it — otherwise the table
+    /// would quietly accumulate the whole trace. Safe at any time: a
+    /// later evaluation of the same trace simply recompiles.
+    pub fn release_compiled(&self, key: TraceKey) {
+        self.traces
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .remove(&key);
@@ -838,15 +779,19 @@ impl ExplorationEngine {
 
     /// Reserve up to `want` worker threads from the engine-wide budget of
     /// `jobs − 1` spawned threads (the calling thread is the last worker).
-    /// Fan-outs nest, so an inner call gets what the outer ones left.
+    /// Fan-outs nest, so an inner call gets what the outer ones left; the
+    /// reservation is one atomic update, so racing fan-outs never
+    /// overdraw the budget.
     pub(super) fn reserve_workers(&self, want: usize) -> usize {
-        let available = self
-            .jobs
-            .saturating_sub(1)
-            .saturating_sub(self.spawned.load(Ordering::Relaxed));
-        let n = available.min(want);
-        self.spawned.fetch_add(n, Ordering::Relaxed);
-        n
+        let budget = self.jobs.saturating_sub(1);
+        let mut reserved = 0;
+        let _ = self
+            .spawned
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |spawned| {
+                reserved = budget.saturating_sub(spawned).min(want);
+                Some(spawned + reserved)
+            });
+        reserved
     }
 
     /// Return `n` reserved worker threads to the budget.
@@ -901,10 +846,10 @@ impl ExplorationEngine {
     }
 }
 
-/// Restore `cfg`'s label on stats served from a memo: cache keys ignore
-/// names, so hit and miss paths stay indistinguishable to the caller.
-/// Candidates usually share the methodology's one name, so this is
-/// normally a comparison, not an allocation.
+/// Restore `cfg`'s label on stats served from the memo or the journal:
+/// memo keys ignore names, so hit and miss paths stay indistinguishable
+/// to the caller. Candidates usually share the methodology's one name,
+/// so this is normally a comparison, not an allocation.
 fn relabel(mut stats: FootprintStats, cfg: &DmConfig) -> FootprintStats {
     if stats.manager.as_ref() != cfg.name {
         stats.manager = Arc::from(cfg.name.as_str());
@@ -971,7 +916,7 @@ mod tests {
         let engine = ExplorationEngine::serial();
         let cfg = presets::drr_paper();
         let cfgs = vec![cfg.clone(), presets::lea_like(), cfg.clone()];
-        let evals = engine.evaluate_all(&t, &cfgs).unwrap();
+        let evals = engine.evaluate_all(&t, TraceKey::of(&t), &cfgs).unwrap();
         assert!(!evals[0].cache_hit && !evals[1].cache_hit);
         assert!(evals[2].cache_hit, "third config duplicates the first");
         assert_eq!(evals[0].stats, evals[2].stats);
@@ -986,8 +931,12 @@ mod tests {
     fn parallel_results_match_serial_in_order() {
         let t = trace();
         let cfgs: Vec<DmConfig> = presets::all();
-        let serial = ExplorationEngine::serial().evaluate_all(&t, &cfgs).unwrap();
-        let parallel = ExplorationEngine::new(4).evaluate_all(&t, &cfgs).unwrap();
+        let serial = ExplorationEngine::serial()
+            .evaluate_all(&t, TraceKey::of(&t), &cfgs)
+            .unwrap();
+        let parallel = ExplorationEngine::new(4)
+            .evaluate_all(&t, TraceKey::of(&t), &cfgs)
+            .unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.stats, p.stats);
@@ -1005,7 +954,7 @@ mod tests {
         bad_late.params.arena_limit = Some(96);
         let cfgs = vec![presets::lea_like(), bad_early, bad_late];
         let err = ExplorationEngine::new(4)
-            .evaluate_all(&t, &cfgs)
+            .evaluate_all(&t, TraceKey::of(&t), &cfgs)
             .unwrap_err();
         assert!(
             matches!(err, crate::error::Error::OutOfMemory { limit: 64, .. }),
@@ -1025,14 +974,14 @@ mod tests {
         let mut tight = presets::drr_paper();
         tight.params.arena_limit = Some(512);
         assert!(
-            engine.evaluate_all(&t, &[tight]).is_err(),
+            engine.evaluate_all(&t, TraceKey::of(&t), &[tight]).is_err(),
             "tight arena must OOM mid-replay"
         );
         let reused = engine
-            .evaluate_all(&t, &[presets::lea_like()])
+            .evaluate_all(&t, TraceKey::of(&t), &[presets::lea_like()])
             .unwrap();
         let fresh = ExplorationEngine::serial()
-            .evaluate_all(&t, &[presets::lea_like()])
+            .evaluate_all(&t, TraceKey::of(&t), &[presets::lea_like()])
             .unwrap();
         assert_eq!(reused[0].stats, fresh[0].stats);
     }
@@ -1041,12 +990,16 @@ mod tests {
     fn engine_compiles_each_trace_exactly_once() {
         let t = trace();
         let engine = ExplorationEngine::serial();
-        let _ = engine.evaluate_all(&t, &presets::all()).unwrap();
+        let _ = engine
+            .evaluate_all(&t, TraceKey::of(&t), &presets::all())
+            .unwrap();
         assert_eq!(engine.compiled_traces(), 1);
         // Re-evaluating (even with fresh configs) reuses the compilation.
         let mut renamed = presets::drr_paper();
         renamed.name = "renamed".into();
-        let _ = engine.evaluate_all(&t, &[renamed]).unwrap();
+        let _ = engine
+            .evaluate_all(&t, TraceKey::of(&t), &[renamed])
+            .unwrap();
         assert_eq!(engine.compiled_traces(), 1);
     }
 
@@ -1077,7 +1030,7 @@ mod tests {
             .unwrap();
         assert!(tied_later.is_none());
         assert_eq!(engine.cache().len(), cached, "skips must not touch the cache");
-        assert_eq!(engine.bound_pruned(), 2);
+        assert_eq!(engine.counters().bound_pruned, 2);
         // A tie that enumerates *earlier* could displace the incumbent in
         // the plain fold: it must still be evaluated.
         let tied_earlier = engine
@@ -1110,9 +1063,12 @@ mod tests {
         let engine = ExplorationEngine::serial()
             .with_quarantine(true)
             .with_fault_plan(FaultPlan::new().panic_candidate(victim.fingerprint()));
-        assert!(engine.evaluate_pruned(&t, key, &victim).unwrap().is_none());
         assert!(engine
-            .evaluate_pruned(&t, key, &presets::drr_paper())
+            .evaluate_bounded(&t, key, &victim, 0, 0, None)
+            .unwrap()
+            .is_none());
+        assert!(engine
+            .evaluate_bounded(&t, key, &presets::drr_paper(), 0, 1, None)
             .unwrap()
             .is_some());
         let c = engine.counters();
@@ -1122,7 +1078,9 @@ mod tests {
 
         // Quarantine off (the default): the panic surfaces as a typed error.
         let strict = ExplorationEngine::serial().with_fault_plan(plan);
-        let err = strict.evaluate_pruned(&t, key, &victim).unwrap_err();
+        let err = strict
+            .evaluate_bounded(&t, key, &victim, 0, 0, None)
+            .unwrap_err();
         assert!(
             matches!(err, Error::CandidatePanicked { fingerprint, .. }
                 if fingerprint == victim.fingerprint()),
@@ -1132,7 +1090,9 @@ mod tests {
         let greedy = ExplorationEngine::serial()
             .with_quarantine(true)
             .with_fault_plan(FaultPlan::new().panic_candidate(victim.fingerprint()));
-        assert!(greedy.evaluate_all(&t, &[victim]).is_err());
+        assert!(greedy
+            .evaluate_all(&t, TraceKey::of(&t), &[victim])
+            .is_err());
     }
 
     #[test]
@@ -1160,13 +1120,12 @@ mod tests {
     #[test]
     fn engine_budget_spec_applies_to_fresh_replays() {
         let t = trace();
-        let key = TraceKey::of(&t);
         let strict = ExplorationEngine::serial().with_budget(BudgetSpec {
             max_steps: Some(1),
             max_millis: None,
         });
         let err = strict
-            .evaluate_config_keyed(&t, key, &presets::drr_paper())
+            .evaluate_config(&t, &presets::drr_paper())
             .unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { limit: 1, .. }), "{err}");
         // A generous budget changes nothing.
@@ -1174,11 +1133,9 @@ mod tests {
             max_steps: Some(u64::MAX),
             max_millis: None,
         });
-        let budgeted = roomy
-            .evaluate_config_keyed(&t, key, &presets::drr_paper())
-            .unwrap();
+        let budgeted = roomy.evaluate_config(&t, &presets::drr_paper()).unwrap();
         let plain = ExplorationEngine::serial()
-            .evaluate_config_keyed(&t, key, &presets::drr_paper())
+            .evaluate_config(&t, &presets::drr_paper())
             .unwrap();
         assert_eq!(budgeted.stats, plain.stats);
     }
@@ -1194,14 +1151,14 @@ mod tests {
 
         let first = ExplorationEngine::serial()
             .with_journal(CheckpointJournal::create(&path).unwrap());
-        let original = first.evaluate_all(&t, &cfgs).unwrap();
+        let original = first.evaluate_all(&t, TraceKey::of(&t), &cfgs).unwrap();
         assert_eq!(first.counters().replays, cfgs.len());
 
         // A brand-new engine (fresh cache, fresh process in spirit) resumes
         // from the journal: same stats, zero replays.
         let second = ExplorationEngine::serial()
             .with_journal(CheckpointJournal::resume(&path).unwrap());
-        let resumed = second.evaluate_all(&t, &cfgs).unwrap();
+        let resumed = second.evaluate_all(&t, TraceKey::of(&t), &cfgs).unwrap();
         let c = second.counters();
         assert_eq!(c.replays, 0, "every score must come from the journal");
         assert_eq!(c.cache_hits, cfgs.len());
@@ -1238,29 +1195,33 @@ mod tests {
             .evaluate_bounded(&t, key, &footer, 0, 1, None)
             .unwrap()
             .unwrap();
-        assert!(!first.projected);
-        assert!(second.projected && second.cache_hit);
+        assert!(!first.cache_hit && second.cache_hit);
         assert_eq!(second.stats.manager.as_ref(), footer.name);
         assert_eq!(first.stats.peak_footprint, second.stats.peak_footprint);
         let c = engine.counters();
         assert_eq!(c.replays, 1, "the duplicate must not replay");
         assert_eq!(c.projection_hits, 1);
         assert_eq!(c.evaluations, 1, "projection hits are not evaluations");
-        assert_eq!(engine.cache().projected_len(), 1);
+        assert_eq!(engine.cache().len(), 1);
     }
 
-    /// `(order, bound)` entries of every preset, bound-ranked on `t`.
+    /// `(order, bound)` entries of every preset and a renamed twin of the
+    /// first, bound-ranked on `t`.
     fn ranked_presets(t: &Trace) -> (Vec<DmConfig>, Vec<(usize, usize)>) {
-        let configs = presets::all();
+        let mut configs = presets::all();
+        let mut twin = configs[0].clone();
+        twin.name = "twin".into();
+        configs.push(twin);
         let ranked = crate::analyze::rank_by_bound(&crate::analyze::TraceFacts::of(t), &configs);
         (configs, ranked)
     }
 
     #[test]
-    fn batched_window_matches_per_candidate_evaluation() {
+    fn windowed_sweep_matches_per_candidate_evaluation() {
         // The windowed sweep (four jobs speculating) against the
         // per-candidate `evaluate_bounded` fold on a serial engine: same
-        // incumbent, same counters, with and without projection.
+        // incumbent, same counters, with and without projection. The twin
+        // shares its memo key with its original either way: one replay.
         let t = trace();
         let key = TraceKey::of(&t);
         let (configs, ranked) = ranked_presets(&t);
@@ -1289,11 +1250,13 @@ mod tests {
                 serial.counters(),
                 "projection {projection}"
             );
+            let c = windowed.counters();
+            assert_eq!(c.cache_hits + c.projection_hits, 1, "projection {projection}: {c}");
         }
     }
 
     #[test]
-    fn batched_window_groups_projected_duplicates_onto_one_replay() {
+    fn windowed_sweep_groups_projected_duplicates_onto_one_replay() {
         let mut b = Trace::builder();
         for i in 0..25usize {
             b.alloc(48 + (i % 5) * 32);
@@ -1316,12 +1279,11 @@ mod tests {
         );
         assert_eq!(c.projection_hits, 1);
         assert_eq!(evaluated, configs.len(), "partition over the window");
-        assert_eq!(engine.cache().projected_len(), 2);
-        assert!(engine.cache().is_empty(), "the sweep keeps one cache tier");
+        assert_eq!(engine.cache().len(), 2);
     }
 
     #[test]
-    fn batched_window_prunes_and_faults_fall_back_per_candidate() {
+    fn windowed_sweep_prunes_and_faults_fall_back_per_candidate() {
         let mut b = Trace::builder();
         for i in 0..25usize {
             b.alloc(48 + (i % 5) * 32);
@@ -1371,6 +1333,31 @@ mod tests {
     fn jobs_zero_resolves_to_available_parallelism() {
         assert!(ExplorationEngine::new(0).jobs() >= 1);
         assert_eq!(ExplorationEngine::new(3).jobs(), 3);
+    }
+
+    #[test]
+    fn racing_reservations_never_overdraw_the_thread_budget() {
+        // Nested fan-outs reserve from one budget of `jobs - 1` threads.
+        // Release six reservations at once, over and over: together they
+        // must take the whole budget and never more.
+        let engine = ExplorationEngine::new(4);
+        let racers = 6;
+        let barrier = std::sync::Barrier::new(racers);
+        for _ in 0..100 {
+            let reserved: usize = std::thread::scope(|scope| {
+                let racing: Vec<_> = (0..racers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            engine.reserve_workers(2)
+                        })
+                    })
+                    .collect();
+                racing.into_iter().map(|r| r.join().unwrap()).sum()
+            });
+            assert_eq!(reserved, 3, "the budget is jobs - 1 = 3 threads");
+            engine.release_workers(reserved);
+        }
     }
 
     #[test]

@@ -567,7 +567,7 @@ impl Methodology {
                 trial.set(leaf);
                 completions.push(self.complete(&trial, &params, style)?);
             }
-            let scored = engine.evaluate_all_keyed(trace, trace_key, &completions)?;
+            let scored = engine.evaluate_all(trace, trace_key, &completions)?;
             let mut evals = Vec::with_capacity(candidates.len());
             for ((leaf, cfg), outcome) in
                 candidates.into_iter().zip(completions).zip(scored)
@@ -870,7 +870,7 @@ impl Methodology {
             // The engine compiled this shard for its replays; release the
             // O(shard) compiled copy along with the shard itself, or the
             // engine's table would quietly accumulate the whole trace.
-            engine.release_compiled(&shard.trace);
+            engine.release_compiled(cache::TraceKey::of(&shard.trace));
             match r {
                 Ok(outcome) => per_shard.push(ShardOutcome {
                     index: shard.index,
@@ -1025,10 +1025,11 @@ impl Methodology {
             max_carried = max_carried.max(shard.boundary.carried_bytes);
             // One fingerprint serves both the evaluation and the release.
             let key = cache::TraceKey::of(&shard.trace);
-            let eval = engine.evaluate_config_keyed(&shard.trace, key, &config)?;
+            let mut scored = engine.evaluate_all(&shard.trace, key, std::slice::from_ref(&config))?;
+            let eval = scored.pop().expect("one configuration, one evaluation");
             // Keep the streaming bound: drop the compiled copy (if this
-            // evaluation missed the cache and compiled) with the shard.
-            engine.release_compiled_keyed(key);
+            // evaluation missed the memo and compiled) with the shard.
+            engine.release_compiled(key);
             evaluations += 1;
             if eval.cache_hit {
                 cache_hits += 1;
@@ -1225,11 +1226,11 @@ pub fn exhaustive_best(
 ///
 /// - candidates carrying a prune-safe diagnostic
 ///   ([`crate::analyze::prune_reason`]) are skipped without a replay and
-///   counted in [`ExplorationEngine::statically_pruned`];
+///   counted in [`EngineCounters::statically_pruned`];
 /// - candidates whose admissible footprint floor
 ///   ([`crate::analyze::lower_bound_peak`]) already loses to the incumbent
-///   are skipped without a replay *or a cache lookup* and counted in
-///   [`ExplorationEngine::bound_pruned`]. Candidates are visited
+///   are skipped without a replay *or a memo lookup* and counted in
+///   [`EngineCounters::bound_pruned`]. Candidates are visited
 ///   **best-first** (ascending bound, enumeration order as tie-break) so
 ///   the incumbent tightens as early as possible.
 ///
@@ -1249,12 +1250,12 @@ pub fn exhaustive_best(
 /// verdicts are computed once per distinct input, and a named
 /// [`DmConfig`] is materialised only for candidates it evaluates.
 ///
-/// Engines with [`ExplorationEngine::set_projection`] additionally
-/// collapse behaviorally-identical candidates to one replay per
-/// [`cache::ProjectedKey`] equivalence class. The sweep runs in windows
-/// of the ranked list: each window is planned against the committed
-/// incumbent, its replays run speculatively on the engine's
-/// [`jobs`](ExplorationEngine::jobs), and the results are committed in
+/// Engines [`with_projection`](ExplorationEngine::with_projection)
+/// additionally collapse behaviorally-identical candidates to one replay
+/// per [`cache::ProjectedKey`] equivalence class. The sweep runs in
+/// windows of the ranked list: each window is decided against the
+/// committed incumbent, its replays run speculatively on the engine's
+/// [`jobs`](ExplorationEngine::jobs), and the results are settled in
 /// rank order. Winner, [`EngineCounters`] and checkpoint journal bytes are
 /// the same for every `jobs` value and equal a per-candidate
 /// [`ExplorationEngine::evaluate_bounded`] fold over the ranked list.
@@ -1817,7 +1818,7 @@ mod tests {
     }
 
     #[test]
-    fn projected_batched_sweep_matches_the_plain_engine_bit_for_bit() {
+    fn projected_windowed_sweep_matches_the_plain_engine_bit_for_bit() {
         let t = fragmenting_trace();
         let params = Methodology::new().seed_params(&Profile::of(&t));
         let limit = Some(150);

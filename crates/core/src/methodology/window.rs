@@ -1,37 +1,39 @@
 //! The windowed branch-and-bound sweep behind
 //! [`exhaustive_best_with_engine`](super::exhaustive_best_with_engine):
 //! **plan → speculate → commit**, one fixed-size window of the
-//! bound-ranked candidate list at a time.
+//! bound-ranked candidate list at a time. This module only schedules:
+//! every candidate's fate is picked by the engine's `decide` and carried
+//! out by its `settle` (see `methodology/engine.rs`), the same two steps
+//! [`ExplorationEngine::evaluate_bounded`] runs.
 //!
-//! - **Plan** (committing thread). Each candidate of the window is decided
-//!   exactly once: static prune, bound against the *committed* incumbent,
-//!   cache tier, journal, and whether it is the first of its
-//!   [`ProjectedKey`] in the window. The plan stops at the first
-//!   bound-pruned candidate: the list ascends in `(bound, order)` and the
-//!   incumbent only descends, so everything after it is pruned too
-//!   ([`Incumbent::prunes`]).
-//! - **Speculate** (all workers). The window's representatives — the
-//!   candidates that need a fresh replay — are replayed by
-//!   [`ExplorationEngine::replay_fresh`], which touches no shared state.
-//!   The workers are `jobs − 1` threads spawned once per sweep plus the
-//!   committing thread; idle workers park on a condvar.
-//! - **Commit** (committing thread). The window is folded in rank order
-//!   with exactly [`ExplorationEngine::evaluate_bounded`]'s rules, reusing
-//!   the plan's decisions; only the bound test is repeated, against the
-//!   incumbent as it tightens inside the window. A speculative result of a
-//!   candidate the commit prunes — a replay, a panic or a budget trip — is
-//!   dropped uncounted.
+//! - **Plan** (committing thread). Each candidate of the window is
+//!   decided against the *committed* incumbent. A candidate that needs a
+//!   journal hit or a replay and shares its [`MemoKey`] with an earlier
+//!   candidate of the window follows that one instead. The plan stops at
+//!   the first bound-pruned candidate: the list ascends in
+//!   `(bound, order)` and the incumbent only descends, so everything after
+//!   it is pruned too ([`Incumbent::prunes`]).
+//! - **Speculate** (all workers). The window's replays are run by
+//!   `replay_fresh`, which touches no shared state. The workers are
+//!   `jobs − 1` threads spawned once per sweep plus the committing
+//!   thread; idle workers park on a condvar.
+//! - **Commit** (committing thread). The window is settled in rank order.
+//!   Only the bound is tested again, against the incumbent as it tightens
+//!   inside the window. A follower becomes a memo hit on what its lead
+//!   published; when the lead failed and published nothing, the follower
+//!   is decided again, as the serial composition would. A speculative
+//!   result of a candidate the commit prunes — a replay, a panic or a
+//!   budget trip — is dropped uncounted.
 //!
 //! The sweep holds its candidates as [`Candidates`]: for the exhaustive
-//! sweep, the shared space table plus one `Params` block. A named
-//! [`DmConfig`] is materialised only for a candidate the plan evaluates,
-//! a replay worker replays, or the caller returns as the winner; the
-//! static-prune verdicts of the rest are read through one scratch
-//! configuration and a [`PruneMemo`], and the bound-pruned suffix is
-//! never materialised.
+//! sweep, the shared space table plus one `Params` block. Decisions read
+//! a candidate through one scratch configuration, with static-prune
+//! verdicts memoised in a [`PruneMemo`]; a named [`DmConfig`] is
+//! materialised only for a candidate the plan does not prune, a replay
+//! worker replays, or the caller returns as the winner.
 //!
-//! Only the committing thread touches counters, cache tiers, the journal
-//! and the incumbent, and it does so in rank order. The winner, every
+//! Only the committing thread settles candidates and moves the incumbent,
+//! and it does so in rank order. The winner, every
 //! [`EngineCounters`](super::EngineCounters) field and the journal bytes
 //! therefore do not depend on `jobs`, and they equal the per-candidate
 //! `evaluate_bounded` composition.
@@ -44,12 +46,14 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use crate::analyze::bounds::{rank_by, BoundMemo};
 use crate::analyze::{PruneMemo, TraceFacts};
 use crate::error::Result;
-use crate::methodology::cache::{ProjectedKey, TraceKey};
-use crate::methodology::engine::{Evaluation, ExplorationEngine, Incumbent};
+use crate::methodology::cache::{MemoKey, TraceKey};
+use crate::methodology::engine::{
+    Decision, Evaluation, ExplorationEngine, Incumbent, Stages, TraceCtx,
+};
 use crate::metrics::FootprintStats;
 use crate::space::config::{DmConfig, Params, PartialConfig};
 use crate::space::enumerate::freeze_point;
-use crate::trace::{CompiledTrace, Trace};
+use crate::trace::Trace;
 
 /// Candidates planned, speculated and committed per window: enough
 /// representatives to keep every worker busy between the commit barriers,
@@ -122,18 +126,16 @@ impl<'a> Candidates<'a> {
     }
 }
 
-/// The plan's decision for a candidate no prune-safe lint skips.
-enum Step {
-    /// A projected-tier hit.
-    Projected(FootprintStats),
-    /// A structural-tier hit (projection off).
-    Cached(FootprintStats),
-    /// A journal hit; a representative.
-    Journal(FootprintStats),
-    /// A fresh replay, speculated as task `n` of the window; a
-    /// representative.
-    Replay(usize),
-    /// Same [`ProjectedKey`] as the representative at window index `n`.
+/// A planned candidate's part in its window.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// Settled as planned: pruned, or a memo hit.
+    Own,
+    /// The first of its memo key in the window, served by the journal.
+    Lead,
+    /// The first of its memo key in the window, replayed as task `n`.
+    Task(usize),
+    /// Shares its memo key with the lead at window index `n`.
     Follow(usize),
 }
 
@@ -141,18 +143,10 @@ enum Step {
 struct Item<'a> {
     order: usize,
     bound: usize,
-    /// `None` when a prune-safe lint skips the candidate.
-    planned: Option<Planned<'a>>,
-}
-
-/// The plan of a candidate no prune-safe lint skips.
-struct Planned<'a> {
-    /// The candidate, materialised.
-    cfg: Cow<'a, DmConfig>,
-    step: Step,
-    /// Where a representative's stats are published: its projected key,
-    /// or `None` for the structural tier (projection off).
-    pkey: Option<ProjectedKey>,
+    /// The candidate, materialised; `None` when statically pruned.
+    cfg: Option<Cow<'a, DmConfig>>,
+    decision: Decision,
+    role: Role,
 }
 
 impl ExplorationEngine {
@@ -172,13 +166,14 @@ impl ExplorationEngine {
         candidates: Candidates<'_>,
         ranked: &[(usize, usize)],
     ) -> Result<(Option<Incumbent>, usize)> {
-        let compiled = self.compiled_for(key, trace);
+        let ctx = self.trace_ctx(trace, key);
+        let compiled = ctx.compiled();
         let board = Board::default();
         let workers = self.reserve_workers(ranked.len().min(WINDOW).saturating_sub(1));
         let result = std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    board.work(|order| self.replay_fresh(&compiled, &candidates.config(order)))
+                    board.work(|order| self.replay_fresh(compiled, &candidates.config(order)))
                 });
             }
             // Release the workers however the commit loop ends, panics
@@ -186,10 +181,8 @@ impl ExplorationEngine {
             let _close = CloseOnDrop(&board);
             let mut sweep = Sweep {
                 engine: self,
-                trace,
-                key,
+                ctx: &ctx,
                 candidates,
-                compiled: &compiled,
                 board: &board,
                 prunes: PruneMemo::new(),
                 scratch: None,
@@ -207,10 +200,8 @@ impl ExplorationEngine {
 /// The committing thread's view of one sweep.
 struct Sweep<'a> {
     engine: &'a ExplorationEngine,
-    trace: &'a Trace,
-    key: TraceKey,
+    ctx: &'a TraceCtx<'a>,
     candidates: Candidates<'a>,
-    compiled: &'a CompiledTrace,
     board: &'a Board,
     /// The static-prune verdicts, memoised for this sweep's `Params`.
     prunes: PruneMemo,
@@ -221,78 +212,61 @@ struct Sweep<'a> {
 }
 
 impl<'a> Sweep<'a> {
-    /// Whether a prune-safe lint skips candidate `order`.
-    fn statically_pruned(&mut self, order: usize) -> bool {
+    /// Decide candidate `order` against the committed incumbent. The
+    /// decision reads the candidate through the scratch configuration,
+    /// whose name is not the candidate's; `decide` does not read names.
+    fn decide(&mut self, order: usize, bound: usize) -> Decision {
         let cfg = self.candidates.view(order, &mut self.scratch);
-        self.prunes.pruned(cfg)
+        let stages = Stages::sweep(self.prunes.pruned(cfg), bound, order, self.best);
+        self.engine.decide(self.ctx, cfg, stages)
     }
 
     fn run(&mut self, ranked: &[(usize, usize)]) -> Result<()> {
-        let engine = self.engine;
-        let projection = engine
-            .projection()
-            .then(|| engine.projection_for(self.key, self.trace));
-        let mut firsts: HashMap<ProjectedKey, usize> = HashMap::new();
+        let mut leads: HashMap<MemoKey, usize> = HashMap::new();
         let mut items: Vec<Item<'a>> = Vec::with_capacity(WINDOW);
         let mut at = 0;
         while at < ranked.len() {
             // Plan.
-            items.clear();
             let mut tasks = Vec::new();
             let mut stopped = false;
             for &(order, bound) in &ranked[at..ranked.len().min(at + WINDOW)] {
-                if self.statically_pruned(order) {
-                    items.push(Item {
-                        order,
-                        bound,
-                        planned: None,
-                    });
-                    continue;
-                }
-                if self.best.is_some_and(|inc| inc.prunes(bound, order)) {
-                    stopped = true;
-                    break;
-                }
-                let index = items.len();
-                let cfg = self.candidates.config(order);
-                let step = match &projection {
-                    Some(projection) => {
-                        let pkey = ProjectedKey::of(&cfg, projection);
-                        match engine.cache().get_projected(self.key, &pkey) {
-                            Some(stats) => Step::Projected(stats),
-                            None => match firsts.entry(pkey) {
-                                Entry::Occupied(rep) => Step::Follow(*rep.get()),
-                                Entry::Vacant(slot) => {
-                                    slot.insert(index);
-                                    self.representative(&cfg, order, bound, &mut tasks)
+                let decision = self.decide(order, bound);
+                let role = match &decision {
+                    Decision::BoundPruned => {
+                        stopped = true;
+                        break;
+                    }
+                    Decision::Journal(key, _) | Decision::Replay { key, .. } => {
+                        match leads.entry(key.clone()) {
+                            Entry::Occupied(lead) => Role::Follow(*lead.get()),
+                            Entry::Vacant(slot) => {
+                                slot.insert(items.len());
+                                if let Decision::Replay { .. } = decision {
+                                    tasks.push((order, bound));
+                                    Role::Task(tasks.len() - 1)
+                                } else {
+                                    Role::Lead
                                 }
-                            },
+                            }
                         }
                     }
-                    None => match engine.cache().get_keyed(self.key, &cfg) {
-                        Some(stats) => Step::Cached(stats),
-                        None => self.representative(&cfg, order, bound, &mut tasks),
-                    },
+                    _ => Role::Own,
                 };
+                let named = !matches!(decision, Decision::StaticallyPruned);
                 items.push(Item {
                     order,
                     bound,
-                    planned: Some(Planned {
-                        cfg,
-                        step,
-                        pkey: None,
-                    }),
+                    cfg: named.then(|| self.candidates.config(order)),
+                    decision,
+                    role,
                 });
             }
-            for (pkey, index) in firsts.drain() {
-                let planned = items[index].planned.as_mut();
-                planned.expect("a representative is planned").pkey = Some(pkey);
-            }
+            leads.clear();
             at += items.len();
 
             // Speculate, then commit in rank order.
             self.board.post(tasks, self.best);
-            let mut served: Vec<Option<FootprintStats>> = vec![None; items.len()];
+            let mut served = vec![None; items.len()];
             for (index, item) in items.drain(..).enumerate() {
                 self.commit(index, item, &mut served)?;
             }
@@ -300,94 +274,67 @@ impl<'a> Sweep<'a> {
                 break;
             }
         }
-        // The pruned suffix: a static prune still wins over the bound, as
-        // in `evaluate_bounded`.
-        for &(order, _) in &ranked[at..] {
-            if self.statically_pruned(order) {
-                engine.count_static();
-            } else {
-                engine.count_bound();
-            }
+        // The pruned suffix: a static prune still wins over the bound.
+        for &(order, bound) in &ranked[at..] {
+            let decision = self.decide(order, bound);
+            self.engine.settle(self.ctx, None, decision, || {
+                unreachable!("the incumbent prunes the rest of the ranked list")
+            })?;
         }
         Ok(())
     }
 
-    /// Commit the window's candidate `index` with `evaluate_bounded`'s
-    /// rules. `served` holds the stats of the window's committed
-    /// representatives, by window index, for their followers.
+    /// Settle the window's candidate `index`. Only the bound is tested
+    /// again, against the incumbent as it tightened inside the window.
+    /// `served` holds the stats each settled lead published, by window
+    /// index, for its followers.
     fn commit(
         &mut self,
         index: usize,
         item: Item<'a>,
         served: &mut [Option<FootprintStats>],
     ) -> Result<()> {
-        let engine = self.engine;
-        let (trace, key) = (self.trace, self.key);
+        let (engine, ctx) = (self.engine, self.ctx);
         let Item {
             order,
             bound,
-            planned,
+            cfg,
+            decision,
+            role,
         } = item;
-        let Some(Planned { cfg, step, pkey }) = planned else {
-            engine.count_static();
-            return Ok(());
-        };
-        if self.best.is_some_and(|inc| inc.prunes(bound, order)) {
-            engine.count_bound();
-            return Ok(());
-        }
-        let cfg: &DmConfig = &cfg;
-        let eval = match step {
-            Step::Projected(stats) => Some(engine.projection_hit(trace, key, cfg, stats)),
-            Step::Cached(stats) => Some(engine.cache_hit(cfg, stats)),
-            Step::Journal(stats) => {
-                engine.publish(key, cfg, pkey, stats.clone());
-                served[index] = Some(stats.clone());
-                Some(engine.cache_hit(cfg, stats))
+        let cfg = cfg.as_deref();
+        let decision = match (cfg, role) {
+            (Some(_), _) if self.best.is_some_and(|inc| inc.prunes(bound, order)) => {
+                Decision::BoundPruned
             }
-            Step::Replay(task) => {
-                let replayed = self
-                    .board
-                    .take(task, |order| {
-                        engine.replay_fresh(self.compiled, &self.candidates.config(order))
-                    })
-                    .expect("workers skip only tasks the committed incumbent prunes");
-                let committed = replayed.and_then(|stats| {
-                    served[index] = Some(stats.clone());
-                    engine.commit_replay(key, cfg, pkey, stats)
-                });
-                engine.quarantine_or_raise(committed)?
-            }
-            Step::Follow(rep) => match &served[rep] {
-                Some(stats) => Some(engine.projection_hit(trace, key, cfg, stats.clone())),
-                // The representative was quarantined or over budget, so
-                // nothing was published: this member takes the serial
-                // path, exactly as the composition would.
-                None => engine.quarantine_or_raise(engine.evaluate_projected(trace, key, cfg))?,
+            (Some(cfg), Role::Follow(lead)) => match &served[lead] {
+                Some(stats) => decision.served(stats.clone()),
+                // The lead was quarantined or over budget and published
+                // nothing: decide again, as the serial composition would.
+                None => engine.decide(ctx, cfg, Stages::sweep(false, bound, order, self.best)),
             },
+            _ => decision,
         };
-        if let Some(eval) = eval {
+        let candidates = self.candidates;
+        let replay = || match role {
+            Role::Task(task) => self
+                .board
+                .take(task, |order| {
+                    engine.replay_fresh(ctx.compiled(), &candidates.config(order))
+                })
+                .expect("workers skip only tasks the committed incumbent prunes"),
+            // A follower whose lead failed replays itself.
+            Role::Own | Role::Lead | Role::Follow(_) => {
+                engine.replay_fresh(ctx.compiled(), cfg.expect("a replayed candidate is named"))
+            }
+        };
+        if let Some(eval) = engine.settle(ctx, cfg, decision, replay)? {
+            if matches!(role, Role::Lead | Role::Task(_)) {
+                served[index] = Some(eval.stats.clone());
+            }
             self.fold(order, &eval);
         }
         Ok(())
-    }
-
-    /// The step of a window's first candidate of its equivalence class:
-    /// a journal hit, or a fresh replay queued for speculation.
-    fn representative(
-        &self,
-        cfg: &DmConfig,
-        order: usize,
-        bound: usize,
-        tasks: &mut Vec<(usize, usize)>,
-    ) -> Step {
-        match self.engine.journal_lookup(self.key, cfg) {
-            Some(stats) => Step::Journal(stats),
-            None => {
-                tasks.push((order, bound));
-                Step::Replay(tasks.len() - 1)
-            }
-        }
     }
 
     /// The first-seen-minimum fold over enumeration order.

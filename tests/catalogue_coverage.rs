@@ -253,7 +253,7 @@ fn exploration_fixture_codes() -> BTreeSet<String> {
         );
     let key = TraceKey::of(&trace);
     for cfg in &victims {
-        let skipped = engine.evaluate_pruned(&trace, key, cfg).unwrap();
+        let skipped = engine.evaluate_bounded(&trace, key, cfg, 0, 0, None).unwrap();
         assert!(skipped.is_none(), "faulted candidate must be skipped");
     }
     let mut report = ResilienceReport::from_counters(&engine.counters());

@@ -57,8 +57,8 @@ fn check(name: &str, trace: &Trace, limit: Option<usize>) -> (usize, usize) {
         leaf_key(&pruned_cfg),
         "{name}: winner configuration changed"
     );
-    let skipped = engine.statically_pruned();
-    let bound_skipped = engine.bound_pruned();
+    let counters = engine.counters();
+    let (skipped, bound_skipped) = (counters.statically_pruned, counters.bound_pruned);
     assert!(skipped > 0, "{name}: static pruning never fired");
     assert_eq!(
         pruned_n + skipped + bound_skipped,

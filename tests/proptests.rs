@@ -783,30 +783,34 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// For random flat, phased and re-entrant traces, the projected
-    /// branch-and-bound sweep returns the same winner, the same
-    /// `EngineCounters` and a byte-identical checkpoint journal at
-    /// `jobs` ∈ {1, 2, 4}, and all of them equal the per-candidate
-    /// `evaluate_bounded` composition over the bound-ranked list. Debug
-    /// builds sweep a prefix of the space (the shadow oracle re-replays
-    /// every projection hit); release builds sweep all of it.
+    /// For random flat, phased and re-entrant traces, the
+    /// branch-and-bound sweep, with projection on or off, returns the
+    /// same winner, the same `EngineCounters` and a byte-identical
+    /// checkpoint journal at `jobs` ∈ {1, 2, 4}, and all of them equal the
+    /// per-candidate `evaluate_bounded` composition over the bound-ranked
+    /// list. Debug builds sweep a prefix of the space (the shadow oracle
+    /// re-replays every projection hit); release builds sweep all of it.
     #[test]
     fn windowed_sweep_is_identical_across_jobs(
         flat in trace_strategy(60, 1500),
         phased in phased_trace_strategy(15, 1024),
         reentrant in reentrant_phase_strategy(5, 1024),
+        projection in any::<bool>(),
     ) {
         use dmm::core::methodology::exhaustive_best_with_engine;
 
         let limit = if cfg!(debug_assertions) { Some(500) } else { None };
         for (name, trace) in [("flat", &flat), ("phased", &phased), ("reentrant", &reentrant)] {
-            let (path, engine) = journaled_sweep_engine(name, 0);
+            let (path, engine) = journaled_sweep_engine(name, 0, projection);
             let want = composed_sweep(trace, limit, &engine);
             let want_counters = engine.counters();
+            if !projection {
+                prop_assert_eq!(want_counters.cache_hits, 0, "{}: exact keys never hit on a sweep", name);
+            }
             drop(engine);
             let want_journal = std::fs::read(&path).expect("journal");
             for jobs in [1, 2, 4] {
-                let (path, engine) = journaled_sweep_engine(name, jobs);
+                let (path, engine) = journaled_sweep_engine(name, jobs, projection);
                 let (cfg, peak, evaluated) =
                     exhaustive_best_with_engine(trace, sweep_params(), limit, &engine)
                         .expect("sweep");
@@ -892,11 +896,13 @@ fn sweep_params() -> Params {
     params
 }
 
-/// A fresh projected engine at `jobs` (0 = the composition's serial
-/// engine) journaling to its own file, which is truncated first.
+/// A fresh engine at `jobs` (0 = the composition's serial engine),
+/// projecting or not, journaling to its own file, which is truncated
+/// first.
 fn journaled_sweep_engine(
     name: &str,
     jobs: usize,
+    projection: bool,
 ) -> (
     std::path::PathBuf,
     dmm::core::methodology::ExplorationEngine,
@@ -906,7 +912,7 @@ fn journaled_sweep_engine(
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("{name}-{jobs}.journal"));
     let engine = ExplorationEngine::new(jobs.max(1))
-        .with_projection(true)
+        .with_projection(projection)
         .with_journal(CheckpointJournal::create(&path).expect("journal"));
     (path, engine)
 }
